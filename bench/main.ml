@@ -83,13 +83,17 @@ let engine_quantified_tests () =
       let c, q, persons = Workload.qdept_community m in
       let i = ref 0 in
       ((Printf.sprintf "E3q engine-quantified/%d" m), (fun () ->
-             let p = persons.(!i mod m) in
+             (* hire p0, fire p0, hire p1, fire p1, ...: every step is
+                accepted and writes [employees], which stays at most one
+                member, so the state stays bounded and each step advances
+                every instance of both permission monitors *)
+             let k = !i in
              incr i;
-             let name = if !i mod 2 = 0 then "hire" else "fire" in
-             (* alternating hire/fire keeps the state bounded *)
-             match Engine.fire c (Event.make q name [ Ident.to_value p ]) with
-             | Ok _ | Error _ -> ())))
-    [ 10; 100 ]
+             let p = persons.(k / 2 mod m) in
+             let name = if k mod 2 = 0 then "hire" else "fire" in
+             ignore_outcome
+               (Engine.fire c (Event.make q name [ Ident.to_value p ])))))
+    [ 10; 100; 1000 ]
 
 (* E4 *)
 let monitor_tests () =
@@ -360,40 +364,73 @@ let generated_tests () =
    frozen view of the largest generated workload, and one parallel
    refinement check, at pool sizes 1/2/4/8.  The jobs=1 arm is the
    sequential baseline the speedup divides by; on a single-core host
-   the larger arms only measure scheduling overhead. *)
+   the larger arms only measure scheduling overhead.
+
+   The workload is built on the first E15 row, and each row's pool on
+   that row's first call; the runners shut the pool down when the row
+   is done ({!release_pools}).  So no other experiment, in particular
+   none of the sequential ones, runs beside idle worker domains — an
+   OCaml 5 minor GC stops every domain. *)
+let row_pools : Pool.t option ref list ref = ref []
+
+let release_pools () =
+  List.iter
+    (fun r ->
+      Option.iter Pool.shutdown !r;
+      r := None)
+    !row_pools
+
+let row_pool jobs =
+  let r = ref None in
+  row_pools := r :: !row_pools;
+  fun () ->
+    match !r with
+    | Some p -> p
+    | None ->
+        let p = Pool.create ~jobs in
+        r := Some p;
+        p
+
 let parallel_tests () =
-  let tolerate (_ : Engine.step_result) = () in
-  let c, steps = Workload.generated_workload 1 ~len:400 in
-  Array.iter (fun st -> tolerate (Engine.step c st)) steps;
-  let view = View.freeze c in
-  (* the batch: every living object x its parameterless events, tiled
-     until the dispatch is big enough to amortise chunking *)
-  let base =
-    List.concat_map
-      (fun (o : Obj_state.t) ->
-        Array.to_list
-          (Array.map
-             (fun (ed : Template.event_def) ->
-               Event.make o.Obj_state.id ed.Template.ed_name [])
-             (Engine.nullary_descriptors c o.Obj_state.template)))
-      (Community.living_objects c)
-    |> Array.of_list
+  let workload =
+    lazy
+      (let tolerate (_ : Engine.step_result) = () in
+       let c, steps = Workload.generated_workload 1 ~len:400 in
+       Array.iter (fun st -> tolerate (Engine.step c st)) steps;
+       let view = View.freeze c in
+       (* the batch: every living object x its parameterless events,
+          tiled until the dispatch is big enough to amortise chunking *)
+       let base =
+         List.concat_map
+           (fun (o : Obj_state.t) ->
+             Array.to_list
+               (Array.map
+                  (fun (ed : Template.event_def) ->
+                    Event.make o.Obj_state.id ed.Template.ed_name [])
+                  (Engine.nullary_descriptors c o.Obj_state.template)))
+           (Community.living_objects c)
+         |> Array.of_list
+       in
+       if Array.length base = 0 then
+         failwith "E15: workload left no living objects";
+       let tile = (512 + Array.length base - 1) / Array.length base in
+       (view, Array.concat (List.init tile (fun _ -> base))))
   in
-  if Array.length base = 0 then failwith "E15: workload left no living objects";
-  let tile = (512 + Array.length base - 1) / Array.length base in
-  let batch = Array.concat (List.init tile (fun _ -> base)) in
-  let abs, conc = Workload.employee_pair () in
+  let pair = lazy (Workload.employee_pair ()) in
   List.concat_map
     (fun jobs ->
-      let pool = Pool.create ~jobs in
-      at_exit (fun () -> Pool.shutdown pool);
+      let probe_pool = row_pool jobs and refine_pool = row_pool jobs in
       [
         ( Printf.sprintf "E15 probe-batch/jobs%d" jobs,
-          fun () -> ignore (Engine.enabled_batch_par ~pool view batch) );
+          fun () ->
+            let view, batch = Lazy.force workload in
+            ignore (Engine.enabled_batch_par ~pool:(probe_pool ()) view batch)
+        );
         ( Printf.sprintf "E15 refine-par/jobs%d" jobs,
           fun () ->
+            let abs, conc = Lazy.force pair in
             let report =
-              Refinement.check ~pool
+              Refinement.check ~pool:(refine_pool ())
                 ~impl:
                   (Implementation.make ~abs_class:"EMPLOYEE"
                      ~conc_class:"EMPL_IMPL" ())
@@ -543,33 +580,35 @@ let apply_filter ~filter benches =
           && String.sub name 0 (String.length f) = f)
         benches
 
+(* one bechamel run per row, so a row's pool is shut down before the
+   next row starts *)
 let run_bechamel benches =
-  let tests =
-    List.map
-      (fun (name, fn) -> Test.make ~name (Staged.stage fn))
-      benches
-  in
-  let grouped = Test.make_grouped ~name:"troll" tests in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
   in
   let instances = Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances grouped in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some [ e ] -> e
-          | _ -> nan
+    List.concat_map
+      (fun (name, fn) ->
+        let raw =
+          Benchmark.all cfg instances (Test.make ~name (Staged.stage fn))
         in
-        let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
-        (name, est, r2) :: acc)
-      results []
+        release_pools ();
+        Hashtbl.fold
+          (fun name ols acc ->
+            let est =
+              match Analyze.OLS.estimates ols with
+              | Some [ e ] -> e
+              | _ -> nan
+            in
+            let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
+            (name, est, r2) :: acc)
+          (Analyze.all ols Instance.monotonic_clock raw)
+          [])
+      benches
     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
   Printf.printf "%-44s %16s %10s\n" "benchmark" "ns/run" "r^2";
@@ -605,6 +644,7 @@ let run_quick benches =
                 fn ()
               done)
       done;
+      release_pools ();
       Printf.printf "%-44s %16.1f\n" name
         (!elapsed /. float_of_int !reps *. 1e9))
     benches

@@ -61,7 +61,15 @@ and compare_pairs x y =
   in
   List.compare cmp x y
 
-let equal a b = compare a b = 0
+(* [compare a b = 0], without ordering the common scalar cases *)
+let rec equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Id (c1, k1), Id (c2, k2) -> String.equal c1 c2 && equal k1 k2
+  | String x, String y -> String.equal x y
+  | Int x, Int y -> Int.equal x y
+  | _ -> compare a b = 0
 
 (** Canonical set constructor: sorts and removes duplicates. *)
 let set elements = Set (List.sort_uniq compare elements)

@@ -37,7 +37,7 @@ type stats = {
       (** compiled closures that deferred to the interpreter *)
   static_skips : int;  (** static constraints skipped as untouched *)
   monitor_fast_steps : int;
-      (** monitor advances taken with the constant-false atom evaluator *)
+      (** quiescent monitor advances (no atom evaluated) *)
 }
 
 let templates_staged = ref 0
@@ -152,14 +152,15 @@ type catom =
   | CA_state of Eval.compiled_formula
   | CA_occurs of Eval.compiled_pattern
 
-(** Event footprint of a monitored formula: which event names its
-    occurrence atoms mention, and whether it has state atoms at all.
-    When a step's occurred events are disjoint from [cm_names] and
-    [cm_has_state] is false, every atom of the formula evaluates to
-    false, so the monitor can advance with a constant-false evaluator —
-    the truth vector (and hence the persisted state) is bit-identical,
-    only the evaluation work is skipped. *)
-type cmon = { cm_names : string array; cm_has_state : bool }
+(** Input footprint of a monitored formula: the event names its
+    occurrence atoms mention, and the own stored slots its state atoms
+    read ([None] when some state atom reads anything else).  A step
+    none of whose occurred events is named, and which wrote none of
+    [cm_reads], leaves every atom as it was at the monitor's previous
+    step, except that occurrence atoms read false: the monitor takes
+    {!Monitor.step_quiescent} — same truth vector (and hence persisted
+    state), no evaluation work. *)
+type cmon = { cm_names : string array; cm_reads : int array option }
 
 (** A static constraint with its read footprint. *)
 type cstatic = {
@@ -250,10 +251,12 @@ let enabled (c : Community.t) =
 (** Which own attribute slots a formula reads — and whether it reads
     anything else.  Conservative: queries, quantifiers, cross-object
     attribute access, class extensions, derived and inherited attributes
-    all make the constraint non-local (it is then re-checked on every
-    step, like the interpreter does). *)
-let static_footprint (c : Community.t) (tpl : Template.t) (f : Ast.formula) :
-    bool * int array =
+    all make the formula non-local (a static constraint is then
+    re-checked on every step, like the interpreter does).  Names in
+    [bound] (a monitor's instance variables and atom bindings) are
+    constants of the evaluation, unless an attribute shadows them. *)
+let static_footprint ?(bound = []) (c : Community.t) (tpl : Template.t)
+    (f : Ast.formula) : bool * int array =
   let local = ref true in
   let slots = ref [] in
   let has_base =
@@ -268,6 +271,7 @@ let static_footprint (c : Community.t) (tpl : Template.t) (f : Ast.formula) :
   let bare_name name =
     if Template.find_attr tpl name <> None then add_slot name
     else if has_base then local := false
+    else if List.mem name bound then ()
     else if Community.enum_of_const c name <> None then ()
     else local := false
   in
@@ -278,7 +282,9 @@ let static_footprint (c : Community.t) (tpl : Template.t) (f : Ast.formula) :
     | Ast.E_attr (Ast.OR_self, "surrogate", []) -> ()
     | Ast.E_attr (Ast.OR_self, name, []) -> add_slot name
     | Ast.E_attr _ -> local := false
-    | Ast.E_field (b, _) -> ex b
+    | Ast.E_field _ ->
+        (* [e.f] dereferences [e] when it evaluates to a surrogate *)
+        local := false
     | Ast.E_apply (_, args) ->
         (* builtins and surrogate construction are pure in the state *)
         List.iter ex args
@@ -406,7 +412,8 @@ let event_footprints (c : Community.t) (tpl : Template.t)
       | Ast.E_attr (Ast.OR_self, name, []) -> add_read name
       | Ast.E_attr _ ->
           raise (Fp_escape "cross-object or parameterized attribute access")
-      | Ast.E_field (b, _) -> ex b
+      | Ast.E_field _ ->
+          raise (Fp_escape "field selection (dereferences a surrogate)")
       | Ast.E_apply (_, args) -> List.iter ex args
       | Ast.E_binop (_, a, b) ->
           ex a;
@@ -686,18 +693,27 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
            | Template.K_temporal _ -> None)
          tpl.Template.t_constraints)
   in
-  let monitor_footprint (body : Template.atom Formula.t) : cmon =
+  let monitor_footprint ?(bound = []) (body : Template.atom Formula.t) : cmon
+      =
     let names = ref [] in
-    let has_state = ref false in
+    let reads = ref (Some []) in
     List.iter
       (fun (a : Template.atom) ->
         match a.Template.pred with
-        | Template.P_state _ -> has_state := true
+        | Template.P_state f -> (
+            let bound = List.map fst a.Template.binds @ bound in
+            match (static_footprint ~bound c tpl f, !reads) with
+            | (true, slots), Some acc -> reads := Some (Array.to_list slots @ acc)
+            | _ -> reads := None)
         | Template.P_occurs e ->
             let n = e.Ast.ev_name in
             if not (List.mem n !names) then names := n :: !names)
       (Formula.atoms [] body);
-    { cm_names = Array.of_list !names; cm_has_state = !has_state }
+    {
+      cm_names = Array.of_list !names;
+      cm_reads =
+        Option.map (fun l -> Array.of_list (List.sort_uniq compare l)) !reads;
+    }
   in
   let ti_perm_mons =
     Array.of_list
@@ -706,10 +722,10 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
            match pm.Template.pm_guard with
            | Template.PG_state _ -> None
            | Template.PG_closed (body, _) -> Some (monitor_footprint body)
-           | Template.PG_indexed { ix_body; _ } ->
-               Some (monitor_footprint ix_body)
-           | Template.PG_quant { q_body; _ } ->
-               Some (monitor_footprint q_body))
+           | Template.PG_indexed { ix_vars; ix_body; _ } ->
+               Some (monitor_footprint ~bound:ix_vars ix_body)
+           | Template.PG_quant { q_var; q_body; _ } ->
+               Some (monitor_footprint ~bound:[ q_var ] q_body))
          tpl.Template.t_perms)
   in
   let ti_temp_mons =

@@ -17,7 +17,7 @@ type stats = {
       (** compiled closures that deferred to the interpreter *)
   static_skips : int;  (** static constraints skipped as untouched *)
   monitor_fast_steps : int;
-      (** monitor advances taken with the constant-false atom evaluator *)
+      (** quiescent monitor advances (no atom evaluated) *)
 }
 
 val stats : unit -> stats
@@ -32,8 +32,8 @@ val note_static_skip : unit -> unit
 (** Engine-side: one static constraint skipped via footprint. *)
 
 val note_monitor_fast : unit -> unit
-(** Engine-side: one monitor advanced with the constant-false atom
-    evaluator. *)
+(** Engine-side: one monitor (all instances of a parametric one)
+    advanced by the quiescent step. *)
 
 (** {1 Compiled rule forms} *)
 
@@ -81,11 +81,16 @@ type catom =
   | CA_state of Eval.compiled_formula
   | CA_occurs of Eval.compiled_pattern
 
-(** Event footprint of a monitored formula; when a step's occurred
-    events are disjoint from [cm_names] and there are no state atoms,
-    every atom is false and the monitor can advance with a
-    constant-false evaluator — same truth vector, no evaluation work. *)
-type cmon = { cm_names : string array; cm_has_state : bool }
+(** Input footprint of a monitored formula: the event names its
+    occurrence atoms mention, and the own stored slots its state atoms
+    read ([None] when some state atom reads anything else — another
+    object, a query, a derived attribute; the guard's instance variables
+    and atom bindings count as constants).  When none of a step's
+    occurred events is named and the step wrote none of [cm_reads], the
+    monitor advances with {!Monitor.step_quiescent}: state atoms keep
+    their bit, occurrence atoms read false — same truth vector, no
+    evaluation work. *)
+type cmon = { cm_names : string array; cm_reads : int array option }
 
 type cstatic = {
   cs_compiled : Eval.compiled_formula;

@@ -29,7 +29,8 @@ type eff =
   | E_perm_closed of Ident.t * int * bool array option
       (** closed permission monitor advanced to this truth vector *)
   | E_perm_indexed of Ident.t * int * (Value.t list * bool array) list
-      (** indexed/quantified permission monitor: full instance table *)
+      (** indexed/quantified permission monitor: full instance table, in
+          key order *)
   | E_constr of Ident.t * int * bool array option
       (** temporal-constraint monitor advanced to this truth vector *)
   | E_steps of Ident.t * int  (** life-cycle step counter *)
@@ -42,7 +43,15 @@ let bools_of_state s = Monitor.state_to_bools s
 
 let perm_effects emit id idx (old_ps : Obj_state.pstate option)
     (ps : Obj_state.pstate) =
-  let changed = match old_ps with Some o -> ps != o | None -> true in
+  (* an instance table counts as changed when its instances do; a new
+     coverage record alone is not state *)
+  let changed =
+    match (old_ps, ps) with
+    | Some (Obj_state.PS_indexed o), Obj_state.PS_indexed t ->
+        t.Obj_state.insts != o.Obj_state.insts
+    | Some o, _ -> ps != o
+    | None, _ -> true
+  in
   if changed then
     match ps with
     | Obj_state.PS_none -> () (* non-temporal guard: nothing tracked *)
@@ -56,15 +65,21 @@ let perm_effects emit id idx (old_ps : Obj_state.pstate option)
         | _ -> ())
     | Obj_state.PS_closed (Some s) ->
         emit (E_perm_closed (id, idx, Some (bools_of_state s)))
-    | Obj_state.PS_indexed [] -> (
+    | Obj_state.PS_indexed t when Obj_state.Keymap.is_empty t.Obj_state.insts
+      -> (
         match old_ps with
-        | Some (Obj_state.PS_indexed (_ :: _)) ->
+        | Some (Obj_state.PS_indexed o)
+          when not (Obj_state.Keymap.is_empty o.Obj_state.insts) ->
             emit (E_perm_indexed (id, idx, []))
         | _ -> ())
-    | Obj_state.PS_indexed insts ->
+    | Obj_state.PS_indexed t ->
         emit
           (E_perm_indexed
-             (id, idx, List.map (fun (k, s) -> (k, bools_of_state s)) insts))
+             ( id,
+               idx,
+               List.map
+                 (fun (k, s) -> (k, bools_of_state s))
+                 (Obj_state.Keymap.bindings t.Obj_state.insts) ))
 
 (** Effects of one object, given the oldest snapshot of it taken inside
     the transaction ([None] = the object was created by it, so the
@@ -493,9 +508,11 @@ let apply (c : Community.t) (effs : eff list) : (unit, string) result =
             | `Indexed compiled ->
                 o.Obj_state.perm_states.(idx) <-
                   Obj_state.PS_indexed
-                    (List.map
-                       (fun (k, bits) -> (k, monitor_state_for compiled bits))
-                       insts)
+                    (Obj_state.table_of_list
+                       (List.map
+                          (fun (k, bits) ->
+                            (k, monitor_state_for compiled bits))
+                          insts))
             | `Closed _ -> fail "instance table for closed guard")
         | E_constr (id, idx, bits) ->
             let o = obj id in

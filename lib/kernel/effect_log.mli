@@ -21,7 +21,8 @@ type eff =
   | E_perm_closed of Ident.t * int * bool array option
       (** closed permission monitor advanced to this truth vector *)
   | E_perm_indexed of Ident.t * int * (Value.t list * bool array) list
-      (** indexed/quantified permission monitor: full instance table *)
+      (** indexed/quantified permission monitor: full instance table, in
+          key order *)
   | E_constr of Ident.t * int * bool array option
       (** temporal-constraint monitor advanced to this truth vector *)
   | E_steps of Ident.t * int  (** life-cycle step counter *)

@@ -410,9 +410,6 @@ let virtual_value (c : Community.t) (o : Obj_state.t) compiled ~binds =
   in
   Monitor.value compiled s
 
-let find_indexed key insts =
-  List.find_opt (fun (k, _) -> List.compare Value.compare k key = 0) insts
-
 (** Does the guard of permission [idx]/[pm] hold for event [ev] with the
     unification environment [env]? *)
 let permission_holds (c : Community.t) (o : Obj_state.t) idx
@@ -433,39 +430,41 @@ let permission_holds (c : Community.t) (o : Obj_state.t) idx
           (fun v -> Option.value ~default:Value.Undefined (Env.find v env))
           ix_vars
       in
-      let binds = List.combine ix_vars key in
       match o.Obj_state.perm_states.(idx) with
-      | Obj_state.PS_indexed insts -> (
-          match find_indexed key insts with
-          | Some (_, s) -> Monitor.value ix_compiled s
-          | None -> virtual_value c o ix_compiled ~binds)
+      | Obj_state.PS_indexed t -> (
+          match Obj_state.Keymap.find_opt key t.Obj_state.insts with
+          | Some s -> Monitor.value ix_compiled s
+          | None ->
+              virtual_value c o ix_compiled ~binds:(List.combine ix_vars key))
       | Obj_state.PS_none | Obj_state.PS_closed _ -> assert false)
   | Template.PG_quant { q_quant; q_var; q_class; q_compiled; _ } -> (
       match o.Obj_state.perm_states.(idx) with
-      | Obj_state.PS_indexed insts ->
-          let members = Ident.Set.elements (Community.extension c q_class) in
-          let value_for m =
-            let key = [ Ident.to_value m ] in
-            match find_indexed key insts with
-            | Some (_, s) -> Monitor.value q_compiled s
-            | None ->
-                virtual_value c o q_compiled
-                  ~binds:[ (q_var, Ident.to_value m) ]
-          in
-          (* instances cover members that have left the extension too *)
-          let spawned_values =
-            List.map (fun (_, s) -> Monitor.value q_compiled s) insts
-          in
+      | Obj_state.PS_indexed t ->
+          (* instances cover members that have left the extension too;
+             members born since the table was last reconciled have no
+             instance yet and are judged on the current state alone *)
+          let ext = Community.extension c q_class in
           let unspawned =
-            List.filter
-              (fun m ->
-                find_indexed [ Ident.to_value m ] insts = None)
-              members
+            if t.Obj_state.covered == ext then []
+            else
+              Ident.Set.fold
+                (fun m acc ->
+                  let key = [ Ident.to_value m ] in
+                  if Obj_state.Keymap.mem key t.Obj_state.insts then acc
+                  else
+                    virtual_value c o q_compiled
+                      ~binds:[ (q_var, Ident.to_value m) ]
+                    :: acc)
+                ext []
           in
-          let all = spawned_values @ List.map value_for unspawned in
+          let holds _ s = Monitor.value q_compiled s in
           (match q_quant with
-          | `Forall -> List.for_all (fun b -> b) all
-          | `Exists -> List.exists (fun b -> b) all)
+          | `Forall ->
+              Obj_state.Keymap.for_all holds t.Obj_state.insts
+              && List.for_all Fun.id unspawned
+          | `Exists ->
+              Obj_state.Keymap.exists holds t.Obj_state.insts
+              || List.exists Fun.id unspawned)
       | Obj_state.PS_none | Obj_state.PS_closed _ -> assert false)
 
 (** [ce] is the event's staged entry when dispatch staging is on (the
@@ -590,39 +589,84 @@ let spawn_keys (c : Community.t) (o : Obj_state.t) ~occurred
   in
   spawn_keys_with ~matchers ~occurred ~ix_vars
 
+let is_state_atom (a : Template.atom) =
+  match a.Template.pred with
+  | Template.P_state _ -> true
+  | Template.P_occurs _ -> false
+
+(** Advance every instance of a table by one step: all of them
+    quiescently (the table itself comes back when no state changed), or
+    each with the atom evaluator [ae key] of its key. *)
+let advance_table compiled ~quiet ~ae (t : Obj_state.table) =
+  let insts = t.Obj_state.insts in
+  if Obj_state.Keymap.is_empty insts then t
+  else if quiet then
+    let insts' =
+      Obj_state.Keymap.fold
+        (fun key s acc ->
+          let s' = Monitor.step_quiescent compiled ~held:is_state_atom s in
+          if s' == s then acc else Obj_state.Keymap.add key s' acc)
+        insts insts
+    in
+    if insts' == insts then t else { t with Obj_state.insts = insts' }
+  else
+    {
+      t with
+      Obj_state.insts =
+        Obj_state.Keymap.mapi
+          (fun key s -> Monitor.step compiled ~atom_eval:(ae key) (Some s))
+          insts;
+    }
+
+(** Spawn the instance of [key], started on the current state, unless
+    the table has it. *)
+let spawn_missing compiled ~ae (t : Obj_state.table) key =
+  if Obj_state.Keymap.mem key t.Obj_state.insts then t
+  else
+    let s = Monitor.step compiled ~atom_eval:(ae key) None in
+    { t with Obj_state.insts = Obj_state.Keymap.add key s t.Obj_state.insts }
+
 (** Advance all monitors of object [o] after a step in which the events
     [occurred] (targeting [o]) happened and the post-state is current.
     [born] and [written] (attribute slots assigned this step) feed the
-    static-constraint skip: a constraint whose footprint is exclusively
-    own stored slots, none of which changed, held after the last
-    committed step and still does. *)
+    static-constraint skip and the quiescent monitor step: a formula
+    whose footprint is exclusively own stored slots, none of which
+    changed, reads as it did after the last committed step. *)
 let step_monitors (c : Community.t) (o : Obj_state.t)
     ~(occurred : Event.t list) ~(born : bool) ~(written : int list) =
   let tpl = o.Obj_state.template in
   let ti =
     if Dispatch.enabled c then Some (Dispatch.template_index c tpl) else None
   in
-  (* a monitored formula none of whose occurrence atoms name an occurred
-     event, and which has no state atoms, advances with every atom false
-     — same truth vector, no evaluation work *)
-  let const_false _ = false in
-  let fast (cm : Dispatch.cmon) =
-    (not cm.Dispatch.cm_has_state)
-    && not
-         (List.exists
-            (fun (ev : Event.t) ->
-              Array.exists (String.equal ev.Event.name) cm.Dispatch.cm_names)
-            occurred)
+  (* a monitor none of whose occurrence atoms names an occurred event,
+     and whose state atoms read only own slots this step did not write,
+     advances quiescently — same truth vector, no evaluation work *)
+  let quiescent (cm : Dispatch.cmon) =
+    let q =
+      (not born)
+      && (match cm.Dispatch.cm_reads with
+         | Some slots ->
+             not (Array.exists (fun s -> List.mem s written) slots)
+         | None -> false)
+      && not
+           (List.exists
+              (fun (ev : Event.t) ->
+                Array.exists (String.equal ev.Event.name) cm.Dispatch.cm_names)
+              occurred)
+    in
+    if q then Dispatch.note_monitor_fast ();
+    q
   in
-  let perm_fast idx =
+  let perm_quiet idx =
     match ti with
     | Some ti -> (
         match ti.Dispatch.ti_perm_mons.(idx) with
-        | Some cm when fast cm ->
-            Dispatch.note_monitor_fast ();
-            true
-        | _ -> false)
+        | Some cm -> quiescent cm
+        | None -> false)
     | None -> false
+  in
+  let set_perm idx (t : Obj_state.table) t' =
+    if t' != t then o.Obj_state.perm_states.(idx) <- Obj_state.PS_indexed t'
   in
   (* permissions *)
   List.iteri
@@ -630,47 +674,22 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
       match (pm.Template.pm_guard, o.Obj_state.perm_states.(idx)) with
       | Template.PG_state _, _ -> ()
       | Template.PG_closed (_, compiled), Obj_state.PS_closed prev -> (
-          let pf = perm_fast idx in
           match prev with
-          | Some p when pf ->
-              let s = Monitor.step_false compiled p in
+          | Some p when perm_quiet idx ->
+              let s = Monitor.step_quiescent compiled ~held:is_state_atom p in
               if s != p then
                 o.Obj_state.perm_states.(idx) <- Obj_state.PS_closed (Some s)
           | _ ->
-              let ae =
-                if pf then const_false else atom_eval c o ~occurred ~binds:[]
+              let s =
+                Monitor.step compiled
+                  ~atom_eval:(atom_eval c o ~occurred ~binds:[])
+                  prev
               in
-              let s = Monitor.step compiled ~atom_eval:ae prev in
               o.Obj_state.perm_states.(idx) <- Obj_state.PS_closed (Some s))
       | ( Template.PG_indexed { ix_vars; ix_body; ix_compiled },
-          Obj_state.PS_indexed insts ) ->
-          let pf = perm_fast idx in
-          let stepped =
-            if pf then begin
-              let unchanged = ref true in
-              let stepped =
-                List.map
-                  (fun ((key, s) as inst) ->
-                    let s' = Monitor.step_false ix_compiled s in
-                    if s' == s then inst
-                    else begin
-                      unchanged := false;
-                      (key, s')
-                    end)
-                  insts
-              in
-              if !unchanged then insts else stepped
-            end
-            else
-              List.map
-                (fun (key, s) ->
-                  ( key,
-                    Monitor.step ix_compiled
-                      ~atom_eval:
-                        (atom_eval c o ~occurred
-                           ~binds:(List.combine ix_vars key))
-                      (Some s) ))
-                insts
+          Obj_state.PS_indexed t ) ->
+          let ae key =
+            atom_eval c o ~occurred ~binds:(List.combine ix_vars key)
           in
           let keys =
             match ti with
@@ -687,77 +706,28 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
                 | None -> spawn_keys c o ~occurred ~ix_vars ix_body)
             | None -> spawn_keys c o ~occurred ~ix_vars ix_body
           in
-          let fresh =
-            List.filter_map
-              (fun key ->
-                if find_indexed key stepped <> None then None
-                else
-                  let ae =
-                    if pf then const_false
-                    else
-                      atom_eval c o ~occurred
-                        ~binds:(List.combine ix_vars key)
-                  in
-                  Some (key, Monitor.step ix_compiled ~atom_eval:ae None))
-              keys
-          in
-          (match fresh with
-          | [] ->
-              if stepped != insts then
-                o.Obj_state.perm_states.(idx) <- Obj_state.PS_indexed stepped
-          | _ ->
-              o.Obj_state.perm_states.(idx) <-
-                Obj_state.PS_indexed (stepped @ fresh))
+          let t' = advance_table ix_compiled ~quiet:(perm_quiet idx) ~ae t in
+          set_perm idx t (List.fold_left (spawn_missing ix_compiled ~ae) t' keys)
       | ( Template.PG_quant { q_var; q_class; q_compiled; _ },
-          Obj_state.PS_indexed insts ) ->
-          let pf = perm_fast idx in
-          let key_ae key =
-            if pf then const_false
-            else
-              let binds = match key with [ v ] -> [ (q_var, v) ] | _ -> [] in
-              atom_eval c o ~occurred ~binds
+          Obj_state.PS_indexed t ) ->
+          let ae key =
+            let binds = match key with [ v ] -> [ (q_var, v) ] | _ -> [] in
+            atom_eval c o ~occurred ~binds
           in
-          let stepped =
-            if pf then begin
-              let unchanged = ref true in
-              let stepped =
-                List.map
-                  (fun ((key, s) as inst) ->
-                    let s' = Monitor.step_false q_compiled s in
-                    if s' == s then inst
-                    else begin
-                      unchanged := false;
-                      (key, s')
-                    end)
-                  insts
-              in
-              if !unchanged then insts else stepped
-            end
-            else
-              List.map
-                (fun (key, s) ->
-                  ( key,
-                    Monitor.step q_compiled ~atom_eval:(key_ae key) (Some s) ))
-                insts
-          in
-          let members = Ident.Set.elements (Community.extension c q_class) in
-          let fresh =
-            List.filter_map
-              (fun m ->
-                let key = [ Ident.to_value m ] in
-                if find_indexed key stepped <> None then None
-                else
-                  Some
-                    (key, Monitor.step q_compiled ~atom_eval:(key_ae key) None))
-              members
-          in
-          (match fresh with
-          | [] ->
-              if stepped != insts then
-                o.Obj_state.perm_states.(idx) <- Obj_state.PS_indexed stepped
-          | _ ->
-              o.Obj_state.perm_states.(idx) <-
-                Obj_state.PS_indexed (stepped @ fresh))
+          let t' = advance_table q_compiled ~quiet:(perm_quiet idx) ~ae t in
+          (* the class extension changes only through births and deaths:
+             while it is the very set the table was reconciled against,
+             every member already has an instance *)
+          let ext = Community.extension c q_class in
+          set_perm idx t
+            (if t'.Obj_state.covered == ext then t'
+             else
+               let t' =
+                 Ident.Set.fold
+                   (fun m t -> spawn_missing q_compiled ~ae t [ Ident.to_value m ])
+                   ext t'
+               in
+               { t' with Obj_state.covered = ext })
       | _, _ -> assert false)
     tpl.Template.t_perms;
   (* temporal constraints: step and require truth *)
@@ -790,25 +760,23 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
                   (Constraint_violated (o.Obj_state.id, cs.Dispatch.cs_text)))
       | Template.K_temporal (_, compiled, text) ->
           let prev = o.Obj_state.constr_states.(!ki) in
-          let tfast =
+          let quiet () =
             match ti with
-            | Some ti when fast ti.Dispatch.ti_temp_mons.(!ki) ->
-                Dispatch.note_monitor_fast ();
-                true
-            | _ -> false
+            | Some ti -> quiescent ti.Dispatch.ti_temp_mons.(!ki)
+            | None -> false
           in
           let s =
             match prev with
-            | Some p when tfast ->
-                let s = Monitor.step_false compiled p in
+            | Some p when quiet () ->
+                let s = Monitor.step_quiescent compiled ~held:is_state_atom p in
                 if s != p then o.Obj_state.constr_states.(!ki) <- Some s;
                 s
             | _ ->
-                let ae =
-                  if tfast then const_false
-                  else atom_eval c o ~occurred ~binds:[]
+                let s =
+                  Monitor.step compiled
+                    ~atom_eval:(atom_eval c o ~occurred ~binds:[])
+                    prev
                 in
-                let s = Monitor.step compiled ~atom_eval:ae prev in
                 o.Obj_state.constr_states.(!ki) <- Some s;
                 s
           in
@@ -1318,9 +1286,6 @@ let fire_sync c evs = step c (Step.Sync evs)
 
 (** Fire a sequence of events as one atomic transaction. *)
 let fire_seq c evs = step c (Step.Seq evs)
-
-(** General form: a queue of micro-steps as one transaction. *)
-let run_txn c micro_steps = step c (Step.Txn micro_steps)
 
 (** Create an object: fire the class's birth event.  [event] defaults to
     the unique birth event of the template. *)

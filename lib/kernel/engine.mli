@@ -71,9 +71,6 @@ val fire_seq : Community.t -> Event.t list -> step_result
 (** [step c (Step.Seq evs)]: a sequence of events as one atomic
     transaction. *)
 
-val run_txn : Community.t -> Event.t list list -> step_result
-(** [step c (Step.Txn micro_steps)]: the general micro-step queue. *)
-
 val create :
   Community.t ->
   cls:string ->

@@ -9,11 +9,33 @@
 
 module Smap = Map.Make (String)
 
+module Keymap = Map.Make (struct
+  type t = Value.t list
+
+  let compare = List.compare Value.compare
+end)
+
+(** Instance table of a parametric or class-quantified permission
+    monitor (documented in the interface). *)
+type table = {
+  insts : Monitor.state Keymap.t;
+  covered : Ident.Set.t;  (** compared by physical identity *)
+}
+
+let empty_table = { insts = Keymap.empty; covered = Ident.Set.empty }
+
+let table_of_list insts =
+  {
+    empty_table with
+    insts =
+      List.fold_left (fun m (key, s) -> Keymap.add key s m) Keymap.empty insts;
+  }
+
 (** Monitor state attached to one permission of the template. *)
 type pstate =
   | PS_none  (** non-temporal guard: nothing to track *)
   | PS_closed of Monitor.state option  (** [None] before the first step *)
-  | PS_indexed of (Value.t list * Monitor.state) list
+  | PS_indexed of table
       (** one instance per observed instantiation of the guard's
           parameters (or per class member for quantified guards) *)
 
@@ -39,7 +61,7 @@ let initial_pstate (p : Template.permission) =
   match p.pm_guard with
   | Template.PG_state _ -> PS_none
   | Template.PG_closed _ -> PS_closed None
-  | Template.PG_indexed _ | Template.PG_quant _ -> PS_indexed []
+  | Template.PG_indexed _ | Template.PG_quant _ -> PS_indexed empty_table
 
 let create id (template : Template.t) =
   {

@@ -10,11 +10,37 @@
 module Smap :
   Map.S with type key = string and type 'a t = 'a Map.Make(String).t
 
+module Keymap : Map.S with type key = Value.t list
+(** Instance keys, ordered by [List.compare Value.compare]. *)
+
+(** Instance table of a parametric ([PG_indexed]) or class-quantified
+    ([PG_quant]) permission monitor, keyed by the guard's parameter
+    values (the member's surrogate, for a quantified guard).  Immutable,
+    like the monitor states it holds: rollback, probes and {!View} thaws
+    restore or share the old pointer, coverage record included. *)
+type table = {
+  insts : Monitor.state Keymap.t;  (** one monitor state per instance key *)
+  covered : Ident.Set.t;
+      (** quantified guards: a class extension every member of which
+          has an instance, compared by physical identity (sets are
+          immutable, so an equal pointer means an equal set).  A step
+          reconciles the table only when the current extension is not
+          this pointer, i.e. after a birth or death.  Starts (and
+          restarts after a load or a WAL replay) as [Ident.Set.empty],
+          which covers only the empty extension.  {!Persist} and
+          {!Effect_log} neither write nor read it. *)
+}
+
+val empty_table : table
+
+val table_of_list : (Value.t list * Monitor.state) list -> table
+(** A table of the given instances, with no coverage record. *)
+
 (** Monitor state attached to one permission of the template. *)
 type pstate =
   | PS_none  (** non-temporal guard: nothing to track *)
   | PS_closed of Monitor.state option  (** [None] before the first step *)
-  | PS_indexed of (Value.t list * Monitor.state) list
+  | PS_indexed of table
       (** one instance per observed instantiation of the guard's
           parameters (or per class member, for quantified guards) *)
 

@@ -52,16 +52,16 @@ let save_object buf (o : Obj_state.t) =
       | Obj_state.PS_closed (Some s) ->
           Buffer.add_string buf
             (Printf.sprintf "perm|%d|closed|%s\n" idx (bits_of_state s))
-      | Obj_state.PS_indexed insts ->
+      | Obj_state.PS_indexed t ->
           Buffer.add_string buf
-            (Printf.sprintf "perm|%d|indexed|%d\n" idx (List.length insts));
-          (* instances spawn in event-arrival order, which is not
-             canonical (concurrent clients interleave); sort by encoded
-             key so equal states always dump bit-identically *)
+            (Printf.sprintf "perm|%d|indexed|%d\n" idx
+               (Obj_state.Keymap.cardinal t.Obj_state.insts));
+          (* dump in encoded-key order, independent of how the instances
+             were spawned, so equal states always dump bit-identically *)
           let encoded =
-            List.map
-              (fun (key, s) -> (Value_codec.encode (Value.List key), s))
-              insts
+            Obj_state.Keymap.fold
+              (fun key s acc -> (Value_codec.encode (Value.List key), s) :: acc)
+              t.Obj_state.insts []
           in
           List.iter
             (fun (key, s) ->
@@ -163,7 +163,7 @@ let load ?(reset = true) (c : Community.t) (dump : string) :
               if List.length insts <> expected then
                 fail "indexed monitor count mismatch";
               o.Obj_state.perm_states.(idx) <-
-                Obj_state.PS_indexed (List.rev insts);
+                Obj_state.PS_indexed (Obj_state.table_of_list (List.rev insts));
               pending_indexed := None
           | Some _, None -> fail "instance lines outside an object"
           | None, _ -> ()

@@ -113,34 +113,40 @@ let step (c : 'a compiled) ~(atom_eval : 'a -> bool) (prev : state option) :
   done;
   cur
 
-(** [step] specialised to the case where every atom of the new state is
-    known to be false (no occurred event matches an occurrence atom, no
-    state atoms).  Produces the same truth vector as
-    [step ~atom_eval:(fun _ -> false) (Some prev)], but returns [prev]
-    itself — states are immutable — when the vector does not change,
-    which is the common fixpoint after one quiescent step. *)
-let step_false (c : 'a compiled) (prev : state) : state =
-  let n = Array.length c.nodes in
-  let cur = Array.make n false in
-  let same = ref true in
-  for i = 0 to n - 1 do
+(** The quiescent step: advance by one instant in which no monitored
+    event occurred and the atoms [held] selects (the caller's state atoms
+    over data the step left unchanged) keep their previous truth value;
+    every other atom reads false.  Produces the same truth vector as
+    [step ~atom_eval:(fun a -> held a && prev bit of a) (Some prev)]
+    without evaluating an atom, and returns [prev] itself — states are
+    immutable — when the vector does not change, which is the common
+    fixpoint after one quiescent step.  Nothing is allocated then. *)
+let step_quiescent (c : 'a compiled) ~(held : 'a -> bool) (prev : state) :
+    state =
+  (* [cur] aliases [prev] until the first node whose value changes; up
+     to there every child value equals its previous one *)
+  let cur = ref prev in
+  for i = 0 to Array.length c.nodes - 1 do
     let v =
       match c.nodes.(i) with
       | NTrue -> true
-      | NFalse | NAtom _ -> false
-      | NNot j -> not cur.(j)
-      | NAnd (j, k) -> cur.(j) && cur.(k)
-      | NOr (j, k) -> cur.(j) || cur.(k)
-      | NImplies (j, k) -> (not cur.(j)) || cur.(k)
-      | NSometime (j, _) -> cur.(j) || prev.(i)
-      | NAlways j -> cur.(j) && prev.(i)
-      | NSince (j, k) -> cur.(k) || (cur.(j) && prev.(i))
+      | NFalse -> false
+      | NAtom a -> prev.(i) && held a
+      | NNot j -> not !cur.(j)
+      | NAnd (j, k) -> !cur.(j) && !cur.(k)
+      | NOr (j, k) -> !cur.(j) || !cur.(k)
+      | NImplies (j, k) -> (not !cur.(j)) || !cur.(k)
+      | NSometime (j, _) -> !cur.(j) || prev.(i)
+      | NAlways j -> !cur.(j) && prev.(i)
+      | NSince (j, k) -> !cur.(k) || (!cur.(j) && prev.(i))
       | NPrevious j -> prev.(j)
     in
-    cur.(i) <- v;
-    if v <> prev.(i) then same := false
+    if v <> prev.(i) then begin
+      if !cur == prev then cur := Array.copy prev;
+      !cur.(i) <- v
+    end
   done;
-  if !same then prev else cur
+  !cur
 
 (** Truth value of the whole formula at the last seen instant. *)
 let value (c : 'a compiled) (s : state) : bool = s.(c.root)
@@ -163,61 +169,3 @@ let run (c : 'a compiled) ~(atom : 'a -> 'state -> bool)
     s := step c ~atom_eval:(fun a -> atom a trace.(i)) (Some !s)
   done;
   !s
-
-(* ------------------------------------------------------------------ *)
-(* Parametric (quantified) monitoring                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Monitoring of singly-quantified formulas [∀x. φ(x)] / [∃x. φ(x)]
-    where the domain of [x] grows dynamically (e.g. "for every PERSON
-    ever hired…").  A fresh instance monitor is spawned when a value
-    first appears in the domain; from then on it tracks φ(x) over the
-    remaining life cycle.  This is the standard spawning semantics of
-    parametric runtime verification: history before the value existed is
-    treated as empty. *)
-module Param = struct
-  type ('k, 'a) t = {
-    quantifier : [ `Forall | `Exists ];
-    instance : 'k -> 'a compiled;
-    key_equal : 'k -> 'k -> bool;
-  }
-
-  type ('k, 'a) instances = ('k * 'a compiled * state) list
-
-  let make ~quantifier ~key_equal ~instance =
-    { quantifier; instance; key_equal }
-
-  let empty_state : ('k, 'a) instances = []
-
-  (** Advance all instances by the new state; spawn monitors for domain
-      values not seen before.  [atom_eval k a] decides atom [a] of
-      instance [k]. *)
-  let step (t : ('k, 'a) t) ~(domain : 'k list)
-      ~(atom_eval : 'k -> 'a -> bool) (insts : ('k, 'a) instances) :
-      ('k, 'a) instances =
-    let stepped =
-      List.map
-        (fun (k, c, s) -> (k, c, step c ~atom_eval:(atom_eval k) (Some s)))
-        insts
-    in
-    let known insts k =
-      List.exists (fun (k', _, _) -> t.key_equal k k') insts
-    in
-    List.fold_left
-      (fun insts k ->
-        if known insts k then insts
-        else
-          let c = t.instance k in
-          insts @ [ (k, c, step c ~atom_eval:(atom_eval k) None) ])
-      stepped domain
-
-  let cardinal (insts : ('k, 'a) instances) = List.length insts
-
-  (** Truth value of the quantified formula: conjunction (∀) or
-      disjunction (∃) over all instances spawned so far.  An empty
-      domain yields [true] for ∀ and [false] for ∃. *)
-  let value (t : ('k, 'a) t) (insts : ('k, 'a) instances) : bool =
-    match t.quantifier with
-    | `Forall -> List.for_all (fun (_, c, s) -> value c s) insts
-    | `Exists -> List.exists (fun (_, c, s) -> value c s) insts
-end

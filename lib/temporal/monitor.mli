@@ -7,7 +7,13 @@
 
     Monitor states are immutable: the engine stores the current state in
     each object and rolls back an aborted transaction by keeping the old
-    pointer. *)
+    pointer.  A step that provably changed none of a monitor's inputs
+    advances it with {!step_quiescent}, which evaluates no atom and
+    usually returns the old state itself.
+
+    One compiled monitor serves every instance of a parametric or
+    class-quantified guard: the kernel keeps one state per instance key
+    ([Obj_state.pstate]). *)
 
 type 'a compiled
 
@@ -23,11 +29,14 @@ val step : 'a compiled -> atom_eval:('a -> bool) -> state option -> state
 (** Advance by one observed state; [None] denotes the first instant of
     the life cycle.  [atom_eval] decides each atom in the new state. *)
 
-val step_false : 'a compiled -> state -> state
-(** [step] specialised to a new state in which every atom is known to be
-    false.  Same truth vector as
-    [step ~atom_eval:(fun _ -> false) (Some prev)], but returns [prev]
-    itself (states are immutable) when the vector does not change. *)
+val step_quiescent : 'a compiled -> held:('a -> bool) -> state -> state
+(** Advance by one instant in which no monitored event occurred: the
+    atoms [held] selects keep their previous truth value, every other
+    atom is false.  Same truth vector as [step ~atom_eval:(fun a -> held
+    a && <a's previous bit>) (Some prev)], but no atom is evaluated, and
+    [prev] itself is returned (nothing allocated) when the vector does
+    not change.  The engine calls it when a step provably left every
+    monitored atom's inputs unchanged. *)
 
 val value : 'a compiled -> state -> bool
 (** Truth value of the whole formula at the last seen instant. *)
@@ -44,37 +53,3 @@ val run :
   'a compiled -> atom:('a -> 'state -> bool) -> 'state array -> state
 (** Fold {!step} over a complete trace (mainly for tests).  Raises
     [Invalid_argument] on an empty trace. *)
-
-(** Parametric (quantified) monitoring: [∀x. φ(x)] / [∃x. φ(x)] over a
-    dynamically growing domain.  A fresh instance monitor is spawned
-    when a value first appears in the domain and tracks φ(x) over the
-    remaining life cycle (standard spawning semantics: history before
-    the value existed is treated as empty). *)
-module Param : sig
-  type ('k, 'a) t
-  type ('k, 'a) instances
-
-  val make :
-    quantifier:[ `Forall | `Exists ] ->
-    key_equal:('k -> 'k -> bool) ->
-    instance:('k -> 'a compiled) ->
-    ('k, 'a) t
-
-  val empty_state : ('k, 'a) instances
-
-  val step :
-    ('k, 'a) t ->
-    domain:'k list ->
-    atom_eval:('k -> 'a -> bool) ->
-    ('k, 'a) instances ->
-    ('k, 'a) instances
-  (** Advance all instances; spawn monitors for unseen domain values
-      (deduplicated). *)
-
-  val cardinal : ('k, 'a) instances -> int
-  (** Number of instances spawned so far. *)
-
-  val value : ('k, 'a) t -> ('k, 'a) instances -> bool
-  (** Conjunction (∀) or disjunction (∃) over all instances spawned so
-      far; the empty domain yields [true] for ∀ and [false] for ∃. *)
-end

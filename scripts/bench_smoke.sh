@@ -1,5 +1,7 @@
 #!/bin/sh
-# Benchmark smoke run: quick-mode E3 (engine), E10 (probe vs clone),
+# Benchmark smoke run: quick-mode E3 (engine, with the E3q shape gate:
+# quantified-permission steps must scale linearly in the extension),
+# E10 (probe vs clone),
 # E12 (compiled vs interpreted dispatch), E15 (parallel-probe
 # scaling) and E16 (WAL durability cost), with the E10, E12, E15 and
 # E16 numbers emitted as BENCH_E10.json / BENCH_E12.json /
@@ -27,8 +29,27 @@ date_utc=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 host=$(hostname 2>/dev/null || echo unknown)
 cores=$(nproc 2>/dev/null || echo 1)
 
-echo "== E3 (transaction rollback) =="
-dune exec bench/main.exe -- --quick --filter E3
+echo "== E3 (engine step; E3q class-quantified permission) =="
+out3=$(dune exec bench/main.exe -- --quick --filter E3)
+printf '%s\n' "$out3"
+
+# E3q shape gate: a step advances one monitor instance per class member,
+# so 10x the members should cost ~10x per step.  Fail when the 1000-member
+# point exceeds 20x the 100-member one: a quadratic scan in monitor
+# bookkeeping (the old instance lists gave ~70x) cannot pass.
+printf '%s\n' "$out3" | awk '
+  /^E3q engine-quantified\/100 / { m100 = $NF }
+  /^E3q engine-quantified\/1000 / { m1000 = $NF }
+  END {
+    if (m100 <= 0 || m1000 <= 0) {
+      print "E3q shape gate: missing E3q/100 or E3q/1000 row"
+      exit 1
+    }
+    ratio = m1000 / m100
+    printf "E3q shape gate: E3q/1000 = %.1fx E3q/100 (limit 20x)\n", ratio
+    if (ratio > 20) exit 1
+  }
+'
 
 echo
 echo "== E10 (probe vs clone) =="

@@ -279,6 +279,30 @@ let prop_value_compare_transitive =
         Value.compare a c <= 0
       else true)
 
+(* a small domain, so that random pairs are often equal *)
+let arbitrary_close_values =
+  let open QCheck.Gen in
+  let small =
+    oneof
+      [ map (fun i -> Value.Int i) (int_range 0 2);
+        map (fun s -> Value.String s) (string_size ~gen:(char_range 'a' 'b') (int_range 0 1));
+        map (fun k -> Value.Id ("C", Value.Int k)) (int_range 0 2);
+        map (fun k -> Value.Id ("D", Value.Int k)) (int_range 0 1);
+        return Value.Undefined ]
+  in
+  let gen =
+    frequency
+      [ (3, small); (1, map Value.set (list_size (int_range 0 2) small)) ]
+  in
+  QCheck.make
+    ~print:(fun (a, b) -> Value.to_string a ^ " / " ^ Value.to_string b)
+    (pair gen gen)
+
+let prop_value_equal_is_compare =
+  QCheck.Test.make ~name:"value: equal iff compare is 0" ~count:500
+    arbitrary_close_values
+    (fun (a, b) -> Value.equal a b = (Value.compare a b = 0))
+
 let prop_set_constructor_idempotent =
   QCheck.Test.make ~name:"value: set canonicalisation idempotent" ~count:200
     (QCheck.list_of_size (QCheck.Gen.int_range 0 8) arbitrary_value)
@@ -528,6 +552,7 @@ let () =
         ] );
       qsuite "value-properties"
         [ prop_value_compare_antisym; prop_value_compare_transitive;
+          prop_value_equal_is_compare;
           prop_set_constructor_idempotent ];
       ( "builtin",
         [

@@ -249,6 +249,85 @@ let test_quantified_vacuous () =
   check tbool "closure of never-staffed department" true
     (accepted (fire c d "closure" []))
 
+(* ------------------------------------------------------------------ *)
+(* Parametric monitors: instance tables on the engine path             *)
+(* ------------------------------------------------------------------ *)
+
+(* a CLUB may [close] once every (some) PERSON has been greeted since
+   the club first saw them; [tick] is a step that greets nobody *)
+let club_spec quantifier =
+  Printf.sprintf
+    {|
+object class PERSON
+  identification pname: string;
+  template
+    events birth born;
+end object class PERSON;
+
+object class CLUB
+  identification id: string;
+  template
+    events
+      birth found;
+      death close;
+      greet(|PERSON|);
+      tick;
+    permissions
+      variables P: |PERSON|;
+      { %s (P: PERSON : sometime(after(greet(P)))) } close;
+end object class CLUB;
+|}
+    quantifier
+
+let club_community quantifier =
+  let c = load (club_spec quantifier) in
+  ignore (Engine.create c ~cls:"CLUB" ~key:(Value.String "k") ());
+  (c, ident "CLUB" "k")
+
+let born c name =
+  check tbool ("born " ^ name) true
+    (accepted (Engine.create c ~cls:"PERSON" ~key:(Value.String name) ()));
+  Ident.to_value (ident "PERSON" name)
+
+let can_close c club = Engine.enabled c (Event.make club "close" [])
+
+let instance_table c id idx =
+  match (Community.object_exn c id).Obj_state.perm_states.(idx) with
+  | Obj_state.PS_indexed t -> t
+  | _ -> Alcotest.fail "expected an instance table"
+
+let test_param_forall () =
+  let c, club = club_community "for all" in
+  check tbool "empty extension: vacuously true" true (can_close c club);
+  let alice = born c "alice" in
+  ignore (fire c club "greet" [ alice ]);
+  check tbool "one satisfied instance" true (can_close c club);
+  let bob = born c "bob" in
+  ignore (fire c club "tick" []);
+  check tbool "unsatisfied newcomer falsifies" false (can_close c club);
+  ignore (fire c club "greet" [ bob ]);
+  check tbool "newcomer satisfied later" true (can_close c club)
+
+let test_param_exists () =
+  let c, club = club_community "exists" in
+  check tbool "empty extension is false" false (can_close c club);
+  let _alice = born c "alice" and bob = born c "bob" in
+  ignore (fire c club "tick" []);
+  check tbool "none satisfied" false (can_close c club);
+  ignore (fire c club "greet" [ bob ]);
+  check tbool "one witness suffices" true (can_close c club)
+
+let test_param_spawn_once () =
+  let c, club = club_community "for all" in
+  let alice = born c "alice" in
+  let _bob = born c "bob" in
+  for _ = 1 to 3 do
+    ignore (fire c club "greet" [ alice ]);
+    ignore (fire c club "tick" [])
+  done;
+  check tint "one instance per member, however many steps" 2
+    (Obj_state.Keymap.cardinal (instance_table c club 0).Obj_state.insts)
+
 let test_permission_conjunction () =
   (* several permissions on one event must all hold *)
   let spec = {|
@@ -1155,6 +1234,12 @@ let () =
             test_quantified_vacuous;
           Alcotest.test_case "conjunction of guards" `Quick
             test_permission_conjunction;
+        ] );
+      ( "parametric",
+        [
+          Alcotest.test_case "forall spawning" `Quick test_param_forall;
+          Alcotest.test_case "exists spawning" `Quick test_param_exists;
+          Alcotest.test_case "spawn deduplication" `Quick test_param_spawn_once;
         ] );
       ( "calling",
         [

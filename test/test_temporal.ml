@@ -122,35 +122,42 @@ let test_monitor_stepwise () =
   (* old states are unaffected (immutability supports rollback) *)
   check tbool "old state intact" false (Monitor.value c s1)
 
-(* step_false is the engine's fast path for objects untouched by a step
-   (engine.ml uses it in four places): it must agree with the general
-   step on an all-false state, and when the truth vector is unchanged it
-   must return the input state itself — the pointer reuse is what lets
-   rollback keep old states and lets the engine skip re-allocating
-   monitor vectors for idle objects. *)
+(* step_quiescent is the engine's fast path for monitors whose inputs a
+   step left unchanged: it must agree with the general step in which the
+   held atoms keep their previous bit and every other atom is false, and
+   when the truth vector is unchanged it must return the input state
+   itself — the pointer reuse is what lets rollback keep old states and
+   lets the engine skip re-allocating monitor vectors for idle objects. *)
 let all_false = Monitor.step ~atom_eval:(fun _ -> false)
+let none_held _ = false
 
-let test_step_false_pointer_reuse () =
+let test_quiescent_pointer_reuse () =
   (* sometime(a) latches: once true, further all-false steps leave the
-     vector fixed, so step_false must hand back the very same state *)
+     vector fixed, so step_quiescent must hand back the very same state *)
   let c = Monitor.compile (Formula.Sometime f_a) in
   let s0 = Monitor.step c ~atom_eval:(fun i -> [| true; false |].(i)) None in
   (* first all-false step flips the atom entry, so a fresh state *)
-  let s1 = Monitor.step_false c s0 in
+  let s1 = Monitor.step_quiescent c ~held:none_held s0 in
   check tbool "atom entry flipped: fresh state" true (not (s1 == s0));
   (* from here the vector is a fixpoint of all-false stepping *)
-  let s2 = Monitor.step_false c s1 in
+  let s2 = Monitor.step_quiescent c ~held:none_held s1 in
   check tbool "latched vector: state physically reused" true (s2 == s1);
   check tbool "latched verdict" true (Monitor.value c s2);
-  (* previous(a) after a true instant: the vector does change, so a
-     fresh state must come back and carry the right verdict *)
+  (* a held atom keeps its bit: previous(a) stays true, and the vector
+     (a true, previous(a) now true) is a fixpoint from the second step *)
   let c' = Monitor.compile (Formula.Previous f_a) in
   let t1 = Monitor.step c' ~atom_eval:(fun i -> [| true; false |].(i)) None in
-  let t2 = Monitor.step_false c' t1 in
+  let t2 = Monitor.step_quiescent c' ~held:(fun _ -> true) t1 in
   check tbool "changed vector: fresh state" true (not (t2 == t1));
-  check tbool "previous now true" true (Monitor.value c' t2);
-  check tbool "matches general step" (Monitor.value c' (all_false c' (Some t1)))
-    (Monitor.value c' t2)
+  check tbool "previous of a held atom" true (Monitor.value c' t2);
+  check tbool "held vector: state physically reused" true
+    (Monitor.step_quiescent c' ~held:(fun _ -> true) t2 == t2);
+  (* not held, the atom reads false: previous(a) still true once, as in
+     the general step *)
+  let t2' = Monitor.step_quiescent c' ~held:none_held t1 in
+  check tbool "matches general step"
+    (Monitor.value c' (all_false c' (Some t1)))
+    (Monitor.value c' t2')
 
 (* random formulas over two atoms *)
 let gen_formula =
@@ -199,9 +206,9 @@ let prop_monitor_equals_trace_eval =
         tr;
       !ok)
 
-let prop_step_false_equals_step =
+let prop_quiescent_equals_step =
   QCheck.Test.make
-    ~name:"step_false ≡ step on all-false states, with pointer reuse"
+    ~name:"quiescent ≡ step with held atoms kept, with pointer reuse"
     ~count:500
     (QCheck.make
        ~print:(fun (f, tr) ->
@@ -209,12 +216,18 @@ let prop_step_false_equals_step =
        (QCheck.Gen.pair gen_formula gen_trace))
     (fun (f, tr) ->
       let c = Monitor.compile f in
-      (* run the random prefix, then trail three all-false instants *)
+      (* atom 0 is held (a state atom over unchanged data), atom 1 is not
+         (an occurrence atom): the reference step reads atom 0 from the
+         last instant of the trace and atom 1 as false *)
+      let held a = a = 0 in
+      let last = tr.(Array.length tr - 1) in
+      let reference = Monitor.step ~atom_eval:(fun a -> held a && atom a last) in
+      (* run the random prefix, then trail three quiescent instants *)
       let s = ref (Monitor.run c ~atom tr) in
       let ok = ref true in
       for _ = 1 to 3 do
-        let fast = Monitor.step_false c !s in
-        let slow = all_false c (Some !s) in
+        let fast = Monitor.step_quiescent c ~held !s in
+        let slow = reference c (Some !s) in
         if Monitor.state_to_bools fast <> Monitor.state_to_bools slow then
           ok := false;
         if Monitor.value c fast <> Monitor.value c slow then ok := false;
@@ -232,57 +245,6 @@ let prop_monitor_size_linear =
     (fun f ->
       let c = Monitor.compile f in
       Monitor.length c = Formula.size f)
-
-(* ------------------------------------------------------------------ *)
-(* Parametric monitors                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* instance formula: sometime(atom k) where the atom checks whether the
-   state (an int list) contains k *)
-let param_monitor quantifier =
-  Monitor.Param.make ~quantifier ~key_equal:Int.equal ~instance:(fun _k ->
-      Monitor.compile (Formula.Sometime (Formula.Atom ())))
-
-let test_param_forall () =
-  let m = param_monitor `Forall in
-  let step domain state insts =
-    Monitor.Param.step m ~domain
-      ~atom_eval:(fun k () -> List.mem k state)
-      insts
-  in
-  (* empty domain: vacuously true *)
-  check tbool "empty" true (Monitor.Param.value m Monitor.Param.empty_state);
-  (* key 1 appears and is satisfied; key 2 appears later, never satisfied *)
-  let s1 = step [ 1 ] [ 1 ] Monitor.Param.empty_state in
-  check tbool "one satisfied instance" true (Monitor.Param.value m s1);
-  let s2 = step [ 1; 2 ] [] s1 in
-  check tbool "unsatisfied newcomer falsifies" false (Monitor.Param.value m s2);
-  let s3 = step [ 1; 2 ] [ 2 ] s2 in
-  check tbool "newcomer satisfied later" true (Monitor.Param.value m s3)
-
-let test_param_exists () =
-  let m = param_monitor `Exists in
-  let step domain state insts =
-    Monitor.Param.step m ~domain
-      ~atom_eval:(fun k () -> List.mem k state)
-      insts
-  in
-  check tbool "empty is false" false
-    (Monitor.Param.value m Monitor.Param.empty_state);
-  let s1 = step [ 1; 2 ] [] Monitor.Param.empty_state in
-  check tbool "none satisfied" false (Monitor.Param.value m s1);
-  let s2 = step [ 1; 2 ] [ 2 ] s1 in
-  check tbool "one witness suffices" true (Monitor.Param.value m s2)
-
-let test_param_spawn_once () =
-  let m = param_monitor `Forall in
-  let s1 =
-    Monitor.Param.step m ~domain:[ 1; 1; 1 ]
-      ~atom_eval:(fun _ () -> true)
-      Monitor.Param.empty_state
-  in
-  check Alcotest.int "duplicate domain values spawn once" 1
-    (Monitor.Param.cardinal s1)
 
 (* ------------------------------------------------------------------ *)
 
@@ -308,20 +270,14 @@ let () =
           Alcotest.test_case "basic operators" `Quick test_monitor_basic;
           Alcotest.test_case "stepwise + immutability" `Quick
             test_monitor_stepwise;
-          Alcotest.test_case "step_false pointer reuse" `Quick
-            test_step_false_pointer_reuse;
+          Alcotest.test_case "quiescent step pointer reuse" `Quick
+            test_quiescent_pointer_reuse;
         ] );
       ( "monitor-properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_monitor_equals_trace_eval;
-            prop_step_false_equals_step;
+            prop_quiescent_equals_step;
             prop_monitor_size_linear;
           ] );
-      ( "parametric",
-        [
-          Alcotest.test_case "forall spawning" `Quick test_param_forall;
-          Alcotest.test_case "exists spawning" `Quick test_param_exists;
-          Alcotest.test_case "spawn deduplication" `Quick test_param_spawn_once;
-        ] );
     ]
