@@ -215,9 +215,10 @@ let rollback_tests () =
     ( "E10 rejected-transaction",
       fun () ->
         match
-          Engine.fire_seq c
-            [ Event.make d "fund" [ Value.Money 100 ];
-              Event.make d "hire" [ Value.String "emp" ] ]
+          Engine.step c
+            (Step.Seq
+               [ Event.make d "fund" [ Value.Money 100 ];
+                 Event.make d "hire" [ Value.String "emp" ] ])
         with
         | Error _ -> ()
         | Ok _ -> failwith "expected rejection" );

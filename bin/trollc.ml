@@ -186,10 +186,9 @@ let jobs_arg =
     & opt (some int) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Domain-pool size for parallel enabledness queries and the \
-           speculative parallel commit engine; 1 probes and commits \
-           sequentially on the calling thread without spawning a \
-           domain.  Default: $(b,TROLLC_JOBS) if set, else one less \
+          "Domain-pool size for parallel enabledness queries and \
+           refinement exploration; 1 probes sequentially on the \
+           calling thread without spawning a domain.  Default: $(b,TROLLC_JOBS) if set, else one less \
            than the recommended domain count (at least 1)")
 
 let resolve_jobs = function
@@ -268,7 +267,7 @@ let run_cmd =
           step durable (with --snapshot-every compaction and --wal-fsync \
           batch fsync); --stats reports the transaction, dispatch, probe \
           and wal counters; --jobs sizes the domain pool used by \
-          parallel probes and the script's par batches")
+          parallel probes")
     Term.(
       const run $ spec_arg $ script_arg $ save_arg $ restore_arg $ stats_arg
       $ jobs_arg $ wal_arg $ snapshot_every_arg $ wal_fsync_arg
@@ -914,8 +913,8 @@ let fuzz_cmd =
           server, save/load/replay, journal cleanliness of rejected steps \
           (probe = clone), parallel vs sequential enabledness probes, \
           kill -9 crash recovery from the WAL, sharded vs single-engine \
-          execution, and linearizability of the speculative parallel \
-          commit path.  The first failure is shrunk to a minimal (spec, \
+          execution, and validation of self-refinement certificates.  \
+          The first failure is shrunk to a minimal (spec, \
           trace) pair when --shrink is given")
     Term.(const run $ seed_arg $ iters_arg $ shrink_arg $ out_arg $ dump_arg)
 

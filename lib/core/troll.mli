@@ -116,7 +116,7 @@ module Session : sig
 
   val step : t -> Step.t -> Engine.step_result
   (** Execute one step request as one atomic transaction — the single
-      entry point behind [fire]/[fire_seq]/[fire_sync]/[create]. *)
+      entry point for every {!Step.t} form. *)
 
   val attr : t -> Ident.t -> string -> (Value.t, Error.t) result
   (** Observe an attribute (derived attributes are computed; inherited

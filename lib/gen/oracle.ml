@@ -1,4 +1,4 @@
-(* The nine differential oracles.  Each one loads fresh communities
+(* The eight differential oracles.  Each one loads fresh communities
    from the rendered source, runs the trace and compares independent
    execution paths; [Persist.save] images are the state-equality
    witness throughout (canonical, total, bit-comparable). *)
@@ -669,119 +669,7 @@ let sharded src trace =
           else Ok ())
 
 (* ---------------------------------------------------------------- *)
-(* Oracle 8: speculative parallel commit is linearizable             *)
-(* ---------------------------------------------------------------- *)
-
-(* The trace runs in chunks through {!Engine.step_batch_par} over a
-   jobs=4 pool; every chunk is replayed sequentially from the same
-   [Persist.save] pre-image on a reference community.  The engine
-   promises results bit-identical to the left-to-right order, so that
-   comparison alone decides pass/fail — but on divergence the oracle
-   also searches the other sequential orders (permutations of the
-   chunk, bounded) to tell a *reordered-but-linearizable* schedule
-   (determinism bug) apart from one matching *no* sequential order
-   (atomicity bug).  The chunk length equals {!Pool.small_batch_cutoff}
-   so full chunks actually reach the speculative path.  Domains make
-   the parent unforkable, so as with "parallel" the whole comparison
-   runs in a forked child. *)
-
-let linearizable_chunk = Pool.small_batch_cutoff
-let permutation_bound = 720
-
-(* Permutations of [l], lexicographic, identity first. *)
-let rec perm_seq l : int list Seq.t =
-  match l with
-  | [] -> Seq.return []
-  | _ ->
-      Seq.concat_map
-        (fun x ->
-          Seq.map
-            (fun p -> x :: p)
-            (perm_seq (List.filter (fun y -> y <> x) l)))
-        (List.to_seq l)
-
-let linearizable_verdict src trace =
-  match (load_session src, load_session src) with
-  | Error e, _ | _, Error e ->
-      Printf.sprintf "FAIL spec failed to load: %s" (Troll.Error.to_string e)
-  | Ok s, Ok sref -> (
-      let c = Troll.Session.community s in
-      let cref = Troll.Session.community sref in
-      let pool = Pool.create ~jobs:parallel_jobs in
-      let rec chunks = function
-        | [] -> []
-        | l ->
-            let rec take n acc = function
-              | rest when n = 0 -> (List.rev acc, rest)
-              | [] -> (List.rev acc, [])
-              | x :: rest -> take (n - 1) (x :: acc) rest
-            in
-            let chunk, rest = take linearizable_chunk [] l in
-            chunk :: chunks rest
-      in
-      (* replay [batch] in [order] on the reference, from [pre];
-         per-original-index verdict codes plus the final image *)
-      let run_seq_from pre order batch =
-        match Persist.load cref pre with
-        | Error e -> Error ("reference restore failed: " ^ e)
-        | Ok () ->
-            let codes = Array.make (Array.length batch) "?" in
-            List.iter
-              (fun k -> codes.(k) <- code_of (Engine.step cref batch.(k)))
-              order;
-            Ok (codes, Persist.save cref)
-      in
-      let check_chunk base chunk =
-        let batch = Array.of_list chunk in
-        let n = Array.length batch in
-        let pre = Persist.save c in
-        let rp = Engine.step_batch_par ~pool c batch in
-        let codes_p = Array.map code_of rp in
-        let img_p = Persist.save c in
-        let identity = List.init n Fun.id in
-        match run_seq_from pre identity batch with
-        | Error e -> Some e
-        | Ok (codes_s, img_s) ->
-            if codes_p = codes_s && img_p = img_s then None
-            else
-              let matches order =
-                match run_seq_from pre order batch with
-                | Ok (codes, img) -> codes = codes_p && img = img_p
-                | Error _ -> false
-              in
-              let reordered =
-                Seq.exists matches
-                  (Seq.take permutation_bound (perm_seq identity))
-              in
-              let where = Printf.sprintf "steps %d..%d" base (base + n - 1) in
-              if reordered then
-                Some
-                  (where
-                 ^ ": parallel schedule matches a permuted order, not the \
-                    batch order")
-              else
-                Some
-                  (Printf.sprintf
-                     "%s: parallel schedule matches no sequential order (%d \
-                      tried)"
-                     where permutation_bound)
-      in
-      let rec run base = function
-        | [] -> None
-        | chunk :: rest -> (
-            match check_chunk base chunk with
-            | Some _ as f -> f
-            | None -> run (base + List.length chunk) rest)
-      in
-      let outcome = run 0 (chunks trace) in
-      Pool.shutdown pool;
-      match outcome with None -> "ok" | Some d -> "FAIL " ^ d)
-
-let linearizable src trace =
-  forked_verdict "linearizable" (fun () -> linearizable_verdict src trace)
-
-(* ---------------------------------------------------------------- *)
-(* Oracle 9: refinement certificates round-trip and validate         *)
+(* Oracle 8: refinement certificates round-trip and validate         *)
 (* ---------------------------------------------------------------- *)
 
 (* Every specification refines itself: driving two fresh communities
@@ -1001,7 +889,7 @@ let certificate src _trace =
 let oracle_names =
   [
     "dispatch"; "server"; "replay"; "journal"; "parallel"; "recovery";
-    "sharded"; "linearizable"; "certificate";
+    "sharded"; "certificate";
   ]
 
 let run_oracle name src trace =
@@ -1014,7 +902,6 @@ let run_oracle name src trace =
     | "parallel" -> parallel
     | "recovery" -> recovery
     | "sharded" -> sharded
-    | "linearizable" -> linearizable
     | "certificate" -> certificate
     | other -> invalid_arg ("Oracle.run_oracle: " ^ other)
   in

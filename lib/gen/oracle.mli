@@ -1,4 +1,4 @@
-(** The nine differential oracles every generated (spec, trace) pair
+(** The eight differential oracles every generated (spec, trace) pair
     is checked against.
 
     - ["dispatch"]: compiled vs interpreted rule dispatch — identical
@@ -38,16 +38,6 @@
       decomposes into per-shard micro-steps).  When the spec admits
       identity-hash partitioning, a source-hash coin flip routes
       through the [hash:2] map ({!Shard.by_hash}) instead.
-    - ["linearizable"]: the trace runs in chunks of
-      {!Pool.small_batch_cutoff} steps through
-      {!Engine.step_batch_par} over a jobs=4 {!Pool}; each chunk is
-      replayed sequentially from the same {!Persist.save} pre-image.
-      Verdict codes and the post-chunk image must be bit-identical to
-      the left-to-right order; on divergence the oracle searches the
-      other sequential orders (bounded permutation sweep) to
-      distinguish a reordered-but-linearizable schedule from one
-      matching no sequential order.  Runs in a forked child, like
-      ["parallel"].
     - ["certificate"]: every specification refines itself, so two
       fresh communities from the same source are lock-step checked
       with {!Refinement.check} recording a certificate; the encoding
@@ -72,7 +62,7 @@ val run_oracle : string -> string -> Step.t list -> (unit, failure) result
     names raise [Invalid_argument]. *)
 
 val check_all : string -> Step.t list -> (unit, failure) result
-(** Run all nine oracles in order, returning the first failure. *)
+(** Run all eight oracles in order, returning the first failure. *)
 
 val request_of_step : id:int -> Step.t -> Json.t
 (** The wire request frame executing the step, as the society server

@@ -250,7 +250,7 @@ let fire t (inst : instance) (ename : string) (args : Value.t list) :
                             Engine.resolve_called t.community ~env ~self term)
                           rule.Ast.i_called
                       in
-                      Engine.fire_seq t.community events
+                      Engine.step t.community (Step.Seq events)
                     with Error r -> Error r)))
 
 (* ------------------------------------------------------------------ *)

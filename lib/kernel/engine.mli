@@ -63,14 +63,6 @@ val fire : Community.t -> Event.t -> step_result
 (** [step c (Step.Fire ev)]: a single event, with its synchronous
     closure. *)
 
-val fire_sync : Community.t -> Event.t list -> step_result
-(** [step c (Step.Sync evs)]: several events simultaneously (event
-    sharing). *)
-
-val fire_seq : Community.t -> Event.t list -> step_result
-(** [step c (Step.Seq evs)]: a sequence of events as one atomic
-    transaction. *)
-
 val create :
   Community.t ->
   cls:string ->
@@ -139,36 +131,6 @@ val candidate_events_par :
 (** {!candidate_events} against the view, with enabledness decided in
     parallel for parameterless candidates; [None] when enabledness
     depends on arguments or the object is not alive. *)
-
-(** {1 Speculative parallel commit}
-
-    The mutating counterpart of the batched probes: contiguous runs of
-    steps whose static footprints ({!Dispatch.footprint}) are bounded
-    to pairwise-distinct existing target objects execute concurrently,
-    each against a private [Txn] journal on a thawed {!View}, and a
-    sequencer merges the clean journals into the community in batch
-    order (one committed transaction — version bump, WAL record — per
-    accepted member, exactly as the sequential engine).  Steps the
-    analysis cannot bound (births, deaths, calling rules, cross-object
-    access, dynamic aspects) run sequentially at their batch position,
-    as does any member whose runtime journal escapes its own target.
-    The observable result is always bit-identical to executing the
-    batch sequentially, left to right. *)
-
-val step_batch_par :
-  ?pool:Pool.t -> Community.t -> Step.t array -> step_result array
-(** Execute a batch of steps; the result array equals
-    [Array.map (step c) steps] bit for bit.  With a [jobs = 1] pool, a
-    batch below {!Pool.small_batch_cutoff}, or compiled dispatch off,
-    it literally is that loop.  Precondition: no open journal on the
-    community (speculative groups freeze {!View}s). *)
-
-val spec_stats_rows : unit -> (string * int) list
-(** Speculation counters as labelled rows (batches, groups, commits,
-    rejects, fallbacks, sequential batch steps) — appended to the
-    "probe statistics" block. *)
-
-val reset_spec_stats : unit -> unit
 
 (** {1 Pieces exposed to the interface layer and the benchmarks} *)
 

@@ -73,9 +73,9 @@ type request =
   | Steps of Step.t list
       (** a batch of independent step requests ([{"op": "steps",
           "steps": [{…}, …]}], each entry step-shaped), answered with a
-          per-step result list; executed through the speculative
-          parallel commit engine ({!Engine.step_batch_par}) — the
-          results are bit-identical to sending the steps one by one *)
+          per-step result list; the steps execute sequentially, in
+          order, each as its own transaction — exactly as if sent one
+          by one *)
   | Prepare of Step.t
       (** first phase of a distributed commit: run the step inside a
           transaction but leave it open; the tentative outcome is

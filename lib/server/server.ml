@@ -68,8 +68,6 @@ type counters = {
   mutable malformed : int;
   mutable probe_requests : int;  (** enabled/candidates answered *)
   mutable probe_batches : int;  (** coalesced probe dispatches *)
-  mutable step_batches : int;  (** coalesced single-step dispatches *)
-  mutable step_batch_members : int;  (** steps answered by those *)
   mutable pauses : int;  (** high-water read pauses *)
   mutable resumes : int;  (** low-water read resumes *)
   mutable evictions : int;  (** connections dropped at the deadline *)
@@ -132,8 +130,6 @@ let create ?(config = default_config) ?wal session =
         malformed = 0;
         probe_requests = 0;
         probe_batches = 0;
-        step_batches = 0;
-        step_batch_members = 0;
         pauses = 0;
         resumes = 0;
         evictions = 0;
@@ -282,8 +278,6 @@ let stats_json t : Json.t =
           ([
              ("sessions", Json.Int (List.length t.conns));
              ("queued", Json.Int t.queued);
-             ("step_batches", Json.Int s.step_batches);
-             ("step_batch_members", Json.Int s.step_batch_members);
              ("pauses", Json.Int s.pauses);
              ("resumes", Json.Int s.resumes);
              ("evictions", Json.Int s.evictions);
@@ -474,17 +468,7 @@ let execute t (req : Protocol.request) :
       | Ok outcome -> Ok (Protocol.outcome_to_json outcome)
       | Error reason -> Error (Protocol.Wire_error.of_reason reason))
   | Protocol.Steps steps ->
-      (* footprint-disjoint runs commit speculatively in parallel on the
-         probe pool; a sharded session has no single community to
-         speculate on, so it degrades to the coordinator loop *)
-      let results =
-        match Troll.Session.shard_map s with
-        | Some _ -> List.map (Troll.step s) steps
-        | None ->
-            Array.to_list
-              (Engine.step_batch_par ~pool:(probe_pool t) community
-                 (Array.of_list steps))
-      in
+      let results = List.map (Troll.step s) steps in
       Ok
         (Json.Obj
            [
@@ -683,11 +667,8 @@ let is_probe (job : job) =
   | Protocol.Enabled _ | Protocol.Candidates _ -> true
   | _ -> false
 
-let is_single_step (job : job) =
-  match job.request with Protocol.Step _ -> true | _ -> false
-
-(** Per-job bookkeeping shared by the batched paths: counters, the
-    response frame, the latency sample. *)
+(** Per-job bookkeeping of the probe batch path: counters, the response
+    frame, the latency sample. *)
 let finish_job t (job : job) result =
   t.stats.executed <- t.stats.executed + 1;
   (match result with
@@ -700,8 +681,9 @@ let finish_job t (job : job) result =
   record_latency t job.op (Unix.gettimeofday () -. job.enqueued_at)
 
 (** Answer the expired jobs of a batch immediately and return the rest.
-    The batch paths check deadlines once, up front — a whole batch runs
-    at one quiescent point, so there is no later point to re-check at. *)
+    The probe batch path checks deadlines once, up front — a whole batch
+    runs at one quiescent point, so there is no later point to re-check
+    at. *)
 let drop_expired t (jobs : job list) =
   let now = Unix.gettimeofday () in
   List.filter
@@ -805,43 +787,6 @@ let process_probe_batch t (jobs : job list) =
       plans
   end
 
-(** Answer a run of consecutive single-event fires from every session in
-    one speculative-parallel dispatch.  [Engine.step_batch_par] promises
-    results bit-identical to firing the array sequentially, and
-    [Troll.step] on an unsharded session {e is} [Engine.step] — so the
-    responses (and the community) equal per-job {!process}, only
-    cheaper.  Callers guarantee no prepared transaction is open and the
-    session is unsharded. *)
-let process_step_batch t (jobs : job list) =
-  match drop_expired t jobs with
-  | [] -> ()
-  | [ job ] -> process t job
-  | live ->
-      t.stats.step_batches <- t.stats.step_batches + 1;
-      t.stats.step_batch_members <-
-        t.stats.step_batch_members + List.length live;
-      let steps =
-        Array.of_list
-          (List.map
-             (fun job ->
-               match job.request with
-               | Protocol.Step step -> step
-               | _ -> assert false)
-             live)
-      in
-      let results =
-        Engine.step_batch_par ~pool:(probe_pool t)
-          (Troll.Session.community t.session)
-          steps
-      in
-      List.iteri
-        (fun i job ->
-          finish_job t job
-            (match results.(i) with
-            | Ok outcome -> Ok (Protocol.outcome_to_json outcome)
-            | Error reason -> Error (Protocol.Wire_error.of_reason reason)))
-        live
-
 (* ------------------------------------------------------------------ *)
 (* Admission and scheduling                                            *)
 (* ------------------------------------------------------------------ *)
@@ -890,11 +835,9 @@ let gather_jobs t : job list =
     List.rev !out
   end
 
-(** Execute one turn's jobs, coalescing maximal contiguous runs: probes
-    answer from one frozen view in one pool dispatch, single-event fires
-    batch through the speculative-parallel path (only while no prepared
-    transaction is open and the session is unsharded — checked per run,
-    because a [prepare] executing mid-turn closes the window). *)
+(** Execute one turn's jobs, coalescing maximal contiguous runs of
+    probes: each run answers from one frozen view in one pool dispatch.
+    Every other job runs on its own through {!process}. *)
 let run_jobs t (jobs : job list) =
   let span p l =
     let rec go acc = function
@@ -903,19 +846,11 @@ let run_jobs t (jobs : job list) =
     in
     go [] l
   in
-  let can_batch_steps () =
-    Option.is_none t.prepared
-    && Option.is_none (Troll.Session.shard_map t.session)
-  in
   let rec go = function
     | [] -> ()
     | job :: _ as l when is_probe job ->
         let run, rest = span is_probe l in
         process_probe_batch t run;
-        go rest
-    | job :: _ as l when is_single_step job && can_batch_steps () ->
-        let run, rest = span is_single_step l in
-        process_step_batch t run;
         go rest
     | job :: rest ->
         process t job;

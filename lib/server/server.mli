@@ -19,18 +19,15 @@
     the engine; a request arriving on a full queue is answered
     [overloaded] immediately.
 
-    {b Batched execution.}  Maximal contiguous runs of the turn's job
-    order coalesce.  Read-only probe requests ([enabled],
-    [candidates]) are answered from a frozen {!View} of the community,
+    {b Batched probes.}  Maximal contiguous runs of read-only probe
+    requests ([enabled], [candidates]) in the turn's job order
+    coalesce: they are answered from a frozen {!View} of the community,
     taken once per quiescent point, with a whole run dispatched over
     the probe pool at once ([config.jobs] domains; 1 = sequential on
-    the loop thread, the default).  Runs of single-event fires go
-    through {!Engine.step_batch_par}, whose results are bit-identical
-    to firing them one at a time — footprint-disjoint prefixes commit
-    speculatively in parallel (only while no prepared transaction is
-    open and the session is unsharded).  The pool is created lazily on
-    the first batch, so a server that never needs it never spawns a
-    domain and stays fork-safe.
+    the loop thread, the default).  The pool is created lazily on the
+    first batch, so a server that never needs it never spawns a domain
+    and stays fork-safe.  Mutating requests always run one at a time,
+    each checked against its deadline when its turn comes.
 
     {b Write coalescing and backpressure.}  Responses append to a
     per-connection output buffer; the loop flushes each buffer once per
@@ -41,8 +38,8 @@
     stops, kernel backpressure propagates to the client — and reading
     resumes once the backlog drains to [out_low_water].  A connection
     paused for [evict_after] seconds straight is evicted.  Pauses,
-    resumes, evictions and batch sizes are reported in the [pipeline]
-    block of the [stats] frame.
+    resumes, evictions and the largest turn are reported in the
+    [pipeline] block of the [stats] frame.
 
     {b Durability.}  With a {!Wal.t} attached, every mutating request
     appends its committed effect delta through the community's commit

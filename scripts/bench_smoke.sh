@@ -9,11 +9,10 @@
 # trajectory is tracked in-tree, plus the E11 socket round-trip
 # benchmark (bench/serve_bench.ml) emitting BENCH_E11.json and the
 # E17 sharded-throughput benchmark (bench/shard_bench.ml) emitting
-# BENCH_E17.json and the E18 speculative parallel-commit benchmark
-# (bench/step_bench.ml) emitting BENCH_E18.json and the E19 memoized
-# refinement-depth benchmark (bench/refine_bench.ml) emitting
-# BENCH_E19.json and the E20 many-connection pipelined-throughput
-# benchmark (bench/serve_many_bench.ml) emitting BENCH_E20.json.
+# BENCH_E17.json and the E19 memoized refinement-depth benchmark
+# (bench/refine_bench.ml) emitting BENCH_E19.json and the E20
+# many-connection pipelined-throughput benchmark
+# (bench/serve_many_bench.ml) emitting BENCH_E20.json.
 #
 # Usage: scripts/bench_smoke.sh            (from the repo root)
 
@@ -22,7 +21,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 dune build bench/main.exe bench/serve_bench.exe bench/shard_bench.exe \
-  bench/step_bench.exe bench/refine_bench.exe bench/serve_many_bench.exe
+  bench/refine_bench.exe bench/serve_many_bench.exe
 
 git_rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 date_utc=$(date -u +%Y-%m-%dT%H:%M:%SZ)
@@ -217,10 +216,6 @@ dune exec bench/serve_bench.exe -- -n 1000 -o BENCH_E11.json
 echo
 echo "== E17 (sharded step throughput) =="
 dune exec bench/shard_bench.exe -- -n 1500 -o BENCH_E17.json
-
-echo
-echo "== E18 (speculative parallel commit) =="
-dune exec bench/step_bench.exe -- -n 150 -o BENCH_E18.json
 
 echo
 echo "== E19 (memoized refinement depth) =="

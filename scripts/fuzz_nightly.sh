@@ -1,9 +1,8 @@
 #!/bin/sh
-# Nightly fuzz run: a large random-seed sweep through the nine
+# Nightly fuzz run: a large random-seed sweep through the eight
 # differential oracles (compiled-vs-interpreted dispatch, in-process
 # vs server, save/load/replay, journal cleanliness, parallel queries,
-# crash recovery, sharding, linearizability, refinement
-# certificates), plus the fixed deterministic seed that tier-1 CI
+# crash recovery, sharding, refinement certificates), plus the fixed deterministic seed that tier-1 CI
 # runs under `dune build @fuzz`.
 #
 # The seed of the random sweep is logged so any failure is

@@ -24,8 +24,7 @@ let load_pair src =
 let fire sys target name args =
   Engine.fire sys.Troll.community (Event.make target name args)
 
-let fire_seq sys events = Engine.fire_seq sys.Troll.community events
-let fire_sync sys events = Engine.fire_sync sys.Troll.community events
+let step sys st = Engine.step sys.Troll.community st
 
 let create sys ~cls ~key ?event ?(args = []) () =
   Engine.step sys.Troll.community (Step.Create { cls; key; event; args })
@@ -279,128 +278,24 @@ let test_sync_and_seq () =
     [
       (fun s -> create s ~cls:"GADGET" ~key:(Value.String "g") ());
       (fun s ->
-        fire_sync s
-          [ Event.make g "clash" [ Value.Int 2; Value.Int 2 ];
-            Event.make g "bump" [] ]);
+        step s
+          (Step.Sync
+             [ Event.make g "clash" [ Value.Int 2; Value.Int 2 ];
+               Event.make g "bump" [] ]));
       (* same-attribute disagreement across shared events *)
       (fun s ->
-        fire_sync s
-          [ Event.make g "clash" [ Value.Int 1; Value.Int 1 ];
-            Event.make g "clash" [ Value.Int 2; Value.Int 2 ] ]);
+        step s
+          (Step.Sync
+             [ Event.make g "clash" [ Value.Int 1; Value.Int 1 ];
+               Event.make g "clash" [ Value.Int 2; Value.Int 2 ] ]));
       (* atomic sequence: the violating tail aborts the accepted head *)
       (fun s ->
-        fire_seq s
-          [ Event.make g "bump" []; Event.make g "clash" [ Value.Int 9; Value.Int 9 ] ]);
+        step s
+          (Step.Seq
+             [ Event.make g "bump" [];
+               Event.make g "clash" [ Value.Int 9; Value.Int 9 ] ]));
       (fun s -> fire s g "bump" []);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Static footprints (speculative parallel commit)                     *)
-(* ------------------------------------------------------------------ *)
-
-(** ACCT events stay footprint-local; XACCT's static constraint reads
-    another object, so every one of its events must escape. *)
-let footprint_spec =
-  {|
-object class BANK
-  identification bid: string;
-  template
-    attributes Cap: integer;
-    events birth openbank; death closebank;
-    valuation [openbank] Cap = 1000;
-end object class BANK;
-
-object class ACCT
-  identification aid: string;
-  template
-    attributes bal: integer; lim: integer; flag: bool;
-    events birth mk; death rm;
-      deposit(integer); withdraw(integer); audit; toggle; probe;
-    valuation
-      variables a: integer;
-      [mk] bal = 0;
-      [mk] lim = 100;
-      [mk] flag = false;
-      [deposit(a)] bal = bal + a;
-      [withdraw(a)] bal = bal - a;
-      [toggle] flag = true;
-      [probe] bal = if false then lim else bal fi;
-    permissions
-      variables a: integer;
-      { bal - a >= lim } withdraw(a);
-      { sometime(after(toggle)) } audit;
-end object class ACCT;
-
-object class XACCT
-  identification xid: string;
-  template
-    attributes xbal: integer;
-    events birth xmk; xset(integer);
-    valuation
-      variables a: integer;
-      [xmk] xbal = 0;
-      [xset(a)] xbal = a;
-    constraints
-      static xbal <= BANK("hq").Cap;
-end object class XACCT;
-|}
-
-let footprint_fixture () =
-  match Troll.Session.load footprint_spec with
-  | Error e -> Alcotest.failf "load failed: %s" (Troll.Error.to_string e)
-  | Ok s ->
-      let c = Troll.Session.community s in
-      let fp cls name =
-        match Community.find_template c cls with
-        | None -> Alcotest.failf "no template %s" cls
-        | Some tpl -> (tpl, Dispatch.footprint (Dispatch.template_index c tpl) name)
-      in
-      fp
-
-let slots tpl names =
-  List.map
-    (fun n ->
-      match Template.slot_of tpl n with
-      | Some i -> i
-      | None -> Alcotest.failf "no slot %s" n)
-    names
-  |> List.sort_uniq compare
-
-let check_local name (tpl, fp) ~reads ~writes =
-  match fp with
-  | Dispatch.FP_escape why -> Alcotest.failf "%s escaped: %s" name why
-  | Dispatch.FP_local { fp_reads; fp_writes; fp_extensions } ->
-      check Alcotest.(list int) (name ^ ": reads") (slots tpl reads)
-        (Array.to_list fp_reads);
-      check Alcotest.(list int) (name ^ ": writes") (slots tpl writes)
-        (Array.to_list fp_writes);
-      check Alcotest.bool (name ^ ": extensions") false fp_extensions
-
-let check_escape name (_, fp) =
-  match fp with
-  | Dispatch.FP_escape _ -> ()
-  | Dispatch.FP_local _ -> Alcotest.failf "%s unexpectedly local" name
-
-let test_footprints () =
-  let fp = footprint_fixture () in
-  (* valuation-only: reads and writes its own slot *)
-  check_local "deposit" (fp "ACCT" "deposit") ~reads:[ "bal" ] ~writes:[ "bal" ];
-  (* state-guarded permission joins the guard's reads *)
-  check_local "withdraw" (fp "ACCT" "withdraw") ~reads:[ "bal"; "lim" ]
-    ~writes:[ "bal" ];
-  (* temporal permission rides the per-object monitor: still local *)
-  check_local "audit" (fp "ACCT" "audit") ~reads:[] ~writes:[];
-  check_local "toggle" (fp "ACCT" "toggle") ~reads:[] ~writes:[ "flag" ];
-  (* deliberate over-approximation: the dead [if false] branch still
-     contributes [lim] to the read set *)
-  check_local "probe" (fp "ACCT" "probe") ~reads:[ "bal"; "lim" ]
-    ~writes:[ "bal" ];
-  (* births and deaths always escape *)
-  check_escape "mk" (fp "ACCT" "mk");
-  check_escape "rm" (fp "ACCT" "rm");
-  (* a constraint referencing another object poisons the template *)
-  check_escape "xset" (fp "XACCT" "xset");
-  check_escape "unknown event" (fp "ACCT" "no_such_event")
 
 (* ------------------------------------------------------------------ *)
 (* Keyed instance tables: reconciliation and the quiescent step        *)
@@ -789,7 +684,6 @@ let () =
         ] );
       ( "footprints",
         [
-          Alcotest.test_case "static event footprints" `Quick test_footprints;
           Alcotest.test_case "static through a surrogate field" `Quick
             test_static_through_surrogate_field;
         ] );

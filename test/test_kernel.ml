@@ -459,8 +459,8 @@ end object class TX;
   check value "sequence applied in order" (Value.Int 2) (attr c x "n");
   (* a failing element anywhere aborts the whole chain *)
   let r =
-    Engine.fire_seq c
-      [ Event.make x "bump" []; Event.make x "explode" [] ]
+    Engine.step c
+      (Step.Seq [ Event.make x "bump" []; Event.make x "explode" [] ])
   in
   check tbool "transaction rejected" false (accepted r);
   check value "first element rolled back" (Value.Int 2) (attr c x "n")
@@ -471,9 +471,10 @@ let test_rollback_restores_monitors () =
   let c, alice, bob, d = dept_community () in
   ignore (fire c d "hire" [ Ident.to_value alice ]);
   let r =
-    Engine.fire_seq c
-      [ Event.make d "hire" [ Ident.to_value bob ];
-        Event.make d "closure" [] ]
+    Engine.step c
+      (Step.Seq
+         [ Event.make d "hire" [ Ident.to_value bob ];
+           Event.make d "closure" [] ])
   in
   check tbool "transaction rejected" false (accepted r);
   (* bob's hire was rolled back: firing him must still be impossible *)
@@ -810,7 +811,7 @@ let test_exists_witness_extraction () =
 (* Event sharing (simultaneous events)                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_fire_sync_shared_step () =
+let test_sync_shared_step () =
   (* two events of one object in one synchronous set: valuations read
      the same pre-state and must agree *)
   let c = load counter_spec in
@@ -819,21 +820,21 @@ let test_fire_sync_shared_step () =
   (* incr and add(1) both write n from the same pre-state: both compute
      n = 0 + 1 — consistent, so the step is accepted once *)
   (match
-     Engine.fire_sync c
-       [ Event.make x "incr" []; Event.make x "add" [ Value.Int 1 ] ]
+     Engine.step c
+       (Step.Sync [ Event.make x "incr" []; Event.make x "add" [ Value.Int 1 ] ])
    with
   | Ok o -> check tint "one synchronous step" 1 (List.length o.Engine.committed)
   | Error r -> Alcotest.failf "%s" (Runtime_error.reason_to_string r));
   check value "applied once, not twice" (Value.Int 1) (attr c x "n");
   (* conflicting writes in one shared step reject *)
   match
-    Engine.fire_sync c
-      [ Event.make x "incr" []; Event.make x "add" [ Value.Int 2 ] ]
+    Engine.step c
+      (Step.Sync [ Event.make x "incr" []; Event.make x "add" [ Value.Int 2 ] ])
   with
   | Error (Runtime_error.Valuation_conflict _) -> ()
   | _ -> Alcotest.fail "conflicting shared step accepted"
 
-let test_fire_sync_two_objects () =
+let test_sync_two_objects () =
   let c = load counter_spec in
   let x = ident "COUNTER" "x" and y = ident "COUNTER" "y" in
   ignore (Engine.create c ~cls:"COUNTER" ~key:(Value.String "x") ());
@@ -841,7 +842,7 @@ let test_fire_sync_two_objects () =
   (* atomicity across objects: y's decr is forbidden at 0, so x's incr
      must roll back too *)
   (match
-     Engine.fire_sync c [ Event.make x "incr" []; Event.make y "decr" [] ]
+     Engine.step c (Step.Sync [ Event.make x "incr" []; Event.make y "decr" [] ])
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "forbidden shared step accepted");
@@ -1314,9 +1315,9 @@ let () =
       ( "event-sharing",
         [
           Alcotest.test_case "shared step, one object" `Quick
-            test_fire_sync_shared_step;
+            test_sync_shared_step;
           Alcotest.test_case "atomicity across objects" `Quick
-            test_fire_sync_two_objects;
+            test_sync_two_objects;
         ] );
       ( "naive-vs-monitor",
         Alcotest.test_case "hand case" `Quick test_naive_equals_monitor

@@ -270,80 +270,6 @@ let test_stress () =
       let expected' = Array.map (Engine.enabled c) batch in
       check tbool "fresh view matches fresh truth" true (got = expected'))
 
-(* ------------------------------------------------------------------ *)
-(* Speculative parallel commit                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* [step_batch_par] promises bit-identity with the sequential loop:
-   per-step results AND the final persisted image, for any batch and
-   any pool size.  The reference runs on a clone of the same
-   community. *)
-let run_batch_identity name ~jobs steps_of =
-  let c, ids = society 16 in
-  let cref = Community.clone c in
-  let steps = steps_of ids in
-  let seq = Array.map (Engine.step cref) steps in
-  let pool = Pool.create ~jobs in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let par = Engine.step_batch_par ~pool c steps in
-      check tint (name ^ ": result count") (Array.length seq)
-        (Array.length par);
-      Array.iteri
-        (fun i r ->
-          check tbool (Printf.sprintf "%s: step %d identical" name i) true
-            (r = par.(i)))
-        seq;
-      check tbool (name ^ ": final images identical") true
-        (Persist.save c = Persist.save cref))
-
-(* counter 0 holds n=0, so its decr is rejected inside the group *)
-let disjoint_steps ids =
-  Array.init 16 (fun i ->
-      if i = 0 then Step.Fire (Event.make ids.(i) "decr" [])
-      else Step.Fire (Event.make ids.(i) "add" [ Value.Int i ]))
-
-let conflicting_steps ids =
-  Array.init 16 (fun _ -> Step.Fire (Event.make ids.(1) "incr" []))
-
-let mixed_steps ids =
-  Array.concat
-    [
-      Array.init 9 (fun i -> Step.Fire (Event.make ids.(i + 1) "incr" []));
-      [|
-        Step.Create
-          { cls = "COUNTER"; key = Value.String "fresh"; event = None; args = [] };
-        Step.Fire (Event.make (ident "fresh") "incr" []);
-        Step.Destroy { id = ids.(2); event = None; args = [] };
-        Step.Fire (Event.make ids.(2) "incr" []);
-      |];
-      Array.init 9 (fun i -> Step.Fire (Event.make ids.(i + 3) "add" [ Value.Int 2 ]));
-    ]
-
-let test_commit_disjoint () =
-  Engine.reset_spec_stats ();
-  run_batch_identity "disjoint jobs=4" ~jobs:4 disjoint_steps;
-  let stat name =
-    match List.assoc_opt name (Engine.spec_stats_rows ()) with
-    | Some n -> n
-    | None -> Alcotest.failf "no stats row %s" name
-  in
-  check tint "one speculative batch" 1 (stat "speculative batches");
-  check tint "one group" 1 (stat "speculative groups");
-  check tint "fifteen commits" 15 (stat "speculative commits");
-  check tint "one reject" 1 (stat "speculative rejects")
-
-let test_commit_conflicting () =
-  run_batch_identity "conflicting jobs=4" ~jobs:4 conflicting_steps
-
-let test_commit_mixed () =
-  run_batch_identity "mixed jobs=4" ~jobs:4 mixed_steps
-
-let test_commit_jobs1 () =
-  run_batch_identity "disjoint jobs=1" ~jobs:1 disjoint_steps;
-  run_batch_identity "mixed jobs=1" ~jobs:1 mixed_steps
-
 let () =
   Alcotest.run "parallel"
     [
@@ -368,15 +294,4 @@ let () =
         ] );
       ( "stress",
         [ Alcotest.test_case "4-domain stress" `Quick test_stress ] );
-      ( "commit",
-        [
-          Alcotest.test_case "disjoint batch speculates" `Quick
-            test_commit_disjoint;
-          Alcotest.test_case "conflicting batch falls back" `Quick
-            test_commit_conflicting;
-          Alcotest.test_case "mixed batch stays ordered" `Quick
-            test_commit_mixed;
-          Alcotest.test_case "jobs=1 is the sequential loop" `Quick
-            test_commit_jobs1;
-        ] );
     ]

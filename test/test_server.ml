@@ -265,11 +265,12 @@ let test_step_equivalent_to_engine () =
   ignore
     (Engine.create c ~cls:"PERSON" ~key:(Value.String "ada") () : _ result);
   ignore
-    (Engine.fire_seq c
-       [
-         Event.make ada "promote" [ Value.Int 2 ];
-         Event.make ada "promote" [ Value.Int 9 ];
-       ]
+    (Engine.step c
+       (Step.Seq
+          [
+            Event.make ada "promote" [ Value.Int 2 ];
+            Event.make ada "promote" [ Value.Int 9 ];
+          ])
       : _ result);
   Alcotest.(check string) "identical persisted state"
     (Persist.save (Troll.Session.community via_step))
@@ -286,6 +287,77 @@ let test_step_rejection_reason () =
   with
   | Ok _ -> ()
   | Error r -> Alcotest.failf "unexpected rejection: %s" (Runtime_error.code r)
+
+(* The [steps] op is a sequential batch: per-member results and the
+   final state equal sending the same steps one [step] request at a
+   time.  The batch mixes an accepted fire, a refused one, a birth and
+   a fire on the newborn, on a server whose probe pool has two jobs. *)
+let test_steps_equal_single_steps () =
+  let create cls key =
+    Step.Create { cls; key = Value.String key; event = None; args = [] }
+  in
+  let dept = Ident.make "DEPT" (Value.String "d") in
+  let bob = Ident.make "PERSON" (Value.String "bob") in
+  let hire p = Step.Fire (Event.make dept "hire" [ Ident.to_value p ]) in
+  let setup = [ create "DEPT" "d"; create "PERSON" "ada" ] in
+  let batch =
+    [
+      hire ada;
+      hire ada;
+      create "PERSON" "bob";
+      Step.Fire (Event.make bob "promote" [ Value.Int 3 ]);
+    ]
+  in
+  let fresh () =
+    let session = load_session () in
+    let server =
+      Server.create
+        ~config:{ Server.default_config with Server.jobs = 2 }
+        session
+    in
+    List.iter
+      (fun st ->
+        match Server.execute server (Protocol.Step st) with
+        | Ok _ -> ()
+        | Error e ->
+            Alcotest.failf "setup rejected: %s"
+              (Json.to_string (Protocol.Wire_error.to_json e)))
+      setup;
+    (session, server)
+  in
+  let member = function
+    | Ok body -> Json.Obj [ ("ok", Json.Bool true); ("result", body) ]
+    | Error e ->
+        Json.Obj
+          [ ("ok", Json.Bool false); ("error", Protocol.Wire_error.to_json e) ]
+  in
+  let batched, batch_server = fresh () in
+  let got =
+    match Server.execute batch_server (Protocol.Steps batch) with
+    | Ok (Json.Obj [ ("results", Json.List results) ]) -> results
+    | Ok body -> Alcotest.failf "unexpected body %s" (Json.to_string body)
+    | Error e ->
+        Alcotest.failf "steps rejected: %s"
+          (Json.to_string (Protocol.Wire_error.to_json e))
+  in
+  let single, single_server = fresh () in
+  let expected =
+    List.map
+      (fun st -> member (Server.execute single_server (Protocol.Step st)))
+      batch
+  in
+  Alcotest.(check (list bool))
+    "accepted, refused, born, fired on the newborn"
+    [ true; false; true; true ]
+    (List.map
+       (function
+         | Json.Obj (("ok", Json.Bool b) :: _) -> b
+         | j -> Alcotest.failf "malformed member %s" (Json.to_string j))
+       expected);
+  Alcotest.(check (list json)) "per-member results" expected got;
+  Alcotest.(check string) "identical persisted state"
+    (Persist.save (Troll.Session.community single))
+    (Persist.save (Troll.Session.community batched))
 
 (* ---------------------------------------------------------------- *)
 (* The serve loop, driven over pipes                                 *)
@@ -873,6 +945,8 @@ let () =
             test_step_equivalent_to_engine;
           Alcotest.test_case "no spurious rejection" `Quick
             test_step_rejection_reason;
+          Alcotest.test_case "steps batch equals single steps" `Quick
+            test_steps_equal_single_steps;
         ] );
       ( "serve",
         [
