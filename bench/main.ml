@@ -85,8 +85,9 @@ let engine_quantified_tests () =
       ((Printf.sprintf "E3q engine-quantified/%d" m), (fun () ->
              (* hire p0, fire p0, hire p1, fire p1, ...: every step is
                 accepted and writes [employees], which stays at most one
-                member, so the state stays bounded and each step advances
-                every instance of both permission monitors *)
+                member, so the state stays bounded; each step evaluates
+                the instances of the one member it names in both
+                permission monitors *)
              let k = !i in
              incr i;
              let p = persons.(k / 2 mod m) in

@@ -67,8 +67,9 @@ let spec_text n = String.concat "\n" (List.init n class_text)
     is meant to be independent of community size. *)
 let dept_spec = class_text 0
 
-(** The same class plus a class-quantified closure permission (the cost
-    of parametric quantified monitors grows with the extension). *)
+(** The same class plus a class-quantified closure permission (one
+    monitor instance per extension member; a step evaluates only the
+    instances of the members it names). *)
 let dept_quantified_spec =
   {|
 object class PERSON

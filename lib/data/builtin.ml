@@ -176,6 +176,52 @@ let set_elem_args v1 v2 =
   | Value.Set s, e -> Some (s, e)
   | _ -> None
 
+(* Canonical sets: [Value.Set] lists are strictly increasing under
+   [Value.compare], so a membership test, insertion or removal stops at
+   the element's position, an unchanged set comes back as the same list,
+   and the binary operations are linear merges. *)
+let rec set_mem e = function
+  | [] -> false
+  | x :: rest ->
+      let c = Value.compare x e in
+      c = 0 || (c < 0 && set_mem e rest)
+
+let set_insert e s =
+  let[@tail_mod_cons] rec go = function
+    | x :: rest when Value.compare x e < 0 -> x :: go rest
+    | rest -> e :: rest
+  in
+  if set_mem e s then s else go s
+
+let set_remove e s =
+  let[@tail_mod_cons] rec go = function
+    | x :: rest when Value.compare x e < 0 -> x :: go rest
+    | _ :: rest | ([] as rest) -> rest
+  in
+  if set_mem e s then go s else s
+
+let[@tail_mod_cons] rec set_union a b =
+  match (a, b) with
+  | [], s | s, [] -> s
+  | x :: a', y :: b' ->
+      let c = Value.compare x y in
+      if c = 0 then x :: set_union a' b'
+      else if c < 0 then x :: set_union a' b
+      else y :: set_union a b'
+
+(* [a] ∩ [b] when [keep], [a] \ [b] otherwise *)
+let[@tail_mod_cons] rec set_filter ~keep a b =
+  match (a, b) with
+  | [], _ -> []
+  | a, [] -> if keep then [] else a
+  | x :: a', y :: b' ->
+      let c = Value.compare x y in
+      if c = 0 then
+        if keep then x :: set_filter ~keep a' b' else set_filter ~keep a' b'
+      else if c < 0 then
+        if keep then set_filter ~keep a' b else x :: set_filter ~keep a' b
+      else set_filter ~keep a b'
+
 let rec aggregate name vs =
   match (name, vs) with
   | _, [] -> Ok Value.Undefined
@@ -267,27 +313,24 @@ let apply name (args : Value.t list) : (Value.t, error) result =
       | "xor", [ Value.Bool x; Value.Bool y ] -> Ok (bool (x <> y))
       | "insert", [ a; b ] -> (
           match set_elem_args a b with
-          | Some (s, e) -> Ok (Value.set (e :: s))
+          | Some (s, e) -> Ok (Value.Set (set_insert e s))
           | None -> err "insert: no set operand")
       | ("remove" | "delete"), [ a; b ] -> (
           match set_elem_args a b with
-          | Some (s, e) ->
-              Ok (Value.Set (List.filter (fun x -> not (Value.equal x e)) s))
+          | Some (s, e) -> Ok (Value.Set (set_remove e s))
           | None -> err "%s: no set operand" name)
       | "in", [ a; b ] -> (
           match (a, b) with
           | e, Value.List l -> Ok (bool (List.exists (Value.equal e) l))
           | _ -> (
               match set_elem_args a b with
-              | Some (s, e) -> Ok (bool (List.exists (Value.equal e) s))
+              | Some (s, e) -> Ok (bool (set_mem e s))
               | None -> err "in: no collection operand"))
-      | "union", [ Value.Set a; Value.Set b ] -> Ok (Value.set (a @ b))
+      | "union", [ Value.Set a; Value.Set b ] -> Ok (Value.Set (set_union a b))
       | "intersect", [ Value.Set a; Value.Set b ] ->
-          Ok (Value.Set (List.filter (fun x -> List.exists (Value.equal x) b) a))
+          Ok (Value.Set (set_filter ~keep:true a b))
       | "minus", [ Value.Set a; Value.Set b ] ->
-          Ok
-            (Value.Set
-               (List.filter (fun x -> not (List.exists (Value.equal x) b)) a))
+          Ok (Value.Set (set_filter ~keep:false a b))
       | ("card" | "count"), [ Value.Set s ] -> Ok (Value.Int (List.length s))
       | ("card" | "count"), [ Value.List l ] -> Ok (Value.Int (List.length l))
       | ("card" | "count"), [ Value.Map m ] -> Ok (Value.Int (List.length m))

@@ -164,7 +164,19 @@ type catom =
     step, except that occurrence atoms read false: the monitor takes
     {!Monitor.step_quiescent} — same truth vector (and hence persisted
     state), no evaluation work. *)
-type cmon = { cm_names : string array; cm_reads : int array option }
+type cmon = {
+  cm_names : string array;
+  cm_reads : int array option;
+  cm_keyed : ckeyed option;
+}
+
+(** Inputs of a key-addressed instance body: a step changes only the
+    instances whose key it names (see the interface). *)
+and ckeyed = {
+  ck_occurs : (string * int list) array;
+  ck_members : int array;
+  ck_reads : int array;
+}
 
 (** A static constraint with its read footprint. *)
 type cstatic = {
@@ -450,26 +462,100 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
            | Template.K_temporal _ -> None)
          tpl.Template.t_constraints)
   in
-  let monitor_footprint ?(bound = []) (body : Template.atom Formula.t) : cmon
-      =
+  (* an own stored set-valued slot named by [x], unless a bound name
+     shadows it *)
+  let member_slot ~bound (x : Ast.expr) =
+    let name =
+      match x.Ast.e with
+      | Ast.E_var n when not (List.mem n bound) -> Some n
+      | Ast.E_attr (Ast.OR_self, n, []) -> Some n
+      | _ -> None
+    in
+    let stored_set n =
+      match (Template.find_attr tpl n, Template.slot_of tpl n) with
+      | Some { Template.at_derived = None; at_type = Vtype.Set _; _ }, Some i ->
+          Some i
+      | _ -> None
+    in
+    Option.bind name stored_set
+  in
+  (* what one atom of an indexed or quantified body, with instance
+     variables [keys], reads as a key-addressed input; [None] when a step
+     could change it for keys it does not name *)
+  let keyed_input ~keys (a : Template.atom) =
+    let binds = List.map fst a.Template.binds in
+    let bound = binds @ keys in
+    if List.exists (fun v -> List.mem v binds) keys then None
+    else
+      match a.Template.pred with
+      | Template.P_occurs e ->
+          let position v =
+            List.find_index
+              (function
+                | { Ast.e = Ast.E_var v'; _ } -> String.equal v v'
+                | _ -> false)
+              e.Ast.ev_args
+          in
+          let positions = List.map position keys in
+          if List.mem None positions then None
+          else Some (`Occurs (e.Ast.ev_name, List.filter_map Fun.id positions))
+      | Template.P_state f -> (
+          let membership =
+            match (f.Ast.f, keys) with
+            | ( Ast.F_expr
+                  {
+                    Ast.e =
+                      ( Ast.E_binop ("in", { Ast.e = Ast.E_var v; _ }, s)
+                      | Ast.E_apply ("in", [ { Ast.e = Ast.E_var v; _ }; s ]) );
+                    _;
+                  },
+                [ k ] )
+              when String.equal v k ->
+                member_slot ~bound s
+            | _ -> None
+          in
+          match (membership, static_footprint ~bound c tpl f) with
+          | Some i, _ -> Some (`Member i)
+          | None, (true, slots) -> Some (`Reads slots)
+          | None, (false, _) -> None)
+  in
+  let monitor_footprint ?(keys = []) (body : Template.atom Formula.t) : cmon =
+    let atoms = Formula.atoms [] body in
     let names = ref [] in
     let reads = ref (Some []) in
     List.iter
       (fun (a : Template.atom) ->
         match a.Template.pred with
         | Template.P_state f -> (
-            let bound = List.map fst a.Template.binds @ bound in
+            let bound = List.map fst a.Template.binds @ keys in
             match (static_footprint ~bound c tpl f, !reads) with
             | (true, slots), Some acc -> reads := Some (Array.to_list slots @ acc)
             | _ -> reads := None)
         | Template.P_occurs e ->
             let n = e.Ast.ev_name in
             if not (List.mem n !names) then names := n :: !names)
-      (Formula.atoms [] body);
+      atoms;
+    let sorted l = Array.of_list (List.sort_uniq compare l) in
+    let keyed =
+      let inputs = List.map (keyed_input ~keys) atoms in
+      if keys = [] || List.mem None inputs then None
+      else
+        let pick f = List.concat_map f (List.filter_map Fun.id inputs) in
+        Some
+          {
+            ck_occurs =
+              Array.of_list
+                (List.sort_uniq compare
+                   (pick (function `Occurs o -> [ o ] | _ -> [])));
+            ck_members = sorted (pick (function `Member i -> [ i ] | _ -> []));
+            ck_reads =
+              sorted (pick (function `Reads r -> Array.to_list r | _ -> []));
+          }
+    in
     {
       cm_names = Array.of_list !names;
-      cm_reads =
-        Option.map (fun l -> Array.of_list (List.sort_uniq compare l)) !reads;
+      cm_reads = Option.map sorted !reads;
+      cm_keyed = keyed;
     }
   in
   let ti_perm_mons =
@@ -480,9 +566,9 @@ let build_tpl (c : Community.t) (tpl : Template.t) : tpl_index =
            | Template.PG_state _ -> None
            | Template.PG_closed (body, _) -> Some (monitor_footprint body)
            | Template.PG_indexed { ix_vars; ix_body; _ } ->
-               Some (monitor_footprint ~bound:ix_vars ix_body)
+               Some (monitor_footprint ~keys:ix_vars ix_body)
            | Template.PG_quant { q_var; q_body; _ } ->
-               Some (monitor_footprint ~bound:[ q_var ] q_body))
+               Some (monitor_footprint ~keys:[ q_var ] q_body))
          tpl.Template.t_perms)
   in
   let ti_temp_mons =

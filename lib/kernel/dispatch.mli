@@ -90,7 +90,29 @@ type catom =
     monitor advances with {!Monitor.step_quiescent}: state atoms keep
     their bit, occurrence atoms read false — same truth vector, no
     evaluation work. *)
-type cmon = { cm_names : string array; cm_reads : int array option }
+type cmon = {
+  cm_names : string array;
+  cm_reads : int array option;
+  cm_keyed : ckeyed option;
+      (** [Some] for the body of an indexed or quantified guard whose
+          instances are key-addressed *)
+}
+
+(** A key-addressed instance body: every occurrence atom has each
+    instance variable as a plain argument, and every state atom is
+    either [v in s] ([v] the single instance variable, [s] an own stored
+    set-valued slot) or reads own stored slots only.  A step that writes
+    none of [ck_reads] can then change only the instances whose key is
+    at those argument positions of an occurred event named in
+    [ck_occurs], or entered or left a written [ck_members] set; every
+    other instance advances as in a quiescent step. *)
+and ckeyed = {
+  ck_occurs : (string * int list) array;
+      (** event name, and the argument position of each instance
+          variable, in key order *)
+  ck_members : int array;  (** the slots [s] of the [v in s] atoms *)
+  ck_reads : int array;  (** own slots the other state atoms read *)
+}
 
 type cstatic = {
   cs_compiled : Eval.compiled_formula;

@@ -594,46 +594,156 @@ let is_state_atom (a : Template.atom) =
   | Template.P_state _ -> true
   | Template.P_occurs _ -> false
 
-(** Advance every instance of a table by one step: all of them
-    quiescently (the table itself comes back when no state changed), or
-    each with the atom evaluator [ae key] of its key. *)
-let advance_table compiled ~quiet ~ae (t : Obj_state.table) =
+(** Advance the instances of a table by one step.  With [All], every
+    instance steps with the atom evaluator [ae key] of its key.  With
+    [Keys dirty], only the [dirty] instances do; the step provably left
+    every other instance's inputs unchanged, so each of those that is
+    unsettled takes the quiescent step, and each settled one is already
+    what that step would give.  The table itself comes back when
+    nothing changed. *)
+let advance_table compiled ~(dirty : Obj_state.keys) ~ae
+    (t : Obj_state.table) =
   let insts = t.Obj_state.insts in
   if Obj_state.Keymap.is_empty insts then t
-  else if quiet then
-    let insts' =
-      Obj_state.Keymap.fold
-        (fun key s acc ->
-          let s' = Monitor.step_quiescent compiled ~held:is_state_atom s in
-          if s' == s then acc else Obj_state.Keymap.add key s' acc)
-        insts insts
-    in
-    if insts' == insts then t else { t with Obj_state.insts = insts' }
   else
-    {
-      t with
-      Obj_state.insts =
-        Obj_state.Keymap.mapi
-          (fun key s -> Monitor.step compiled ~atom_eval:(ae key) (Some s))
-          insts;
-    }
+    match dirty with
+    | Obj_state.All ->
+        {
+          t with
+          Obj_state.insts =
+            Obj_state.Keymap.mapi
+              (fun key s -> Monitor.step compiled ~atom_eval:(ae key) (Some s))
+              insts;
+          unsettled = Obj_state.All;
+        }
+    | Obj_state.Keys dirty -> (
+        (* a dirty instance steps in full and is unsettled; any other
+           steps quiescently and settles when its state comes back *)
+        let visit key s (insts', unsettled) =
+          if Obj_state.Keyset.mem key dirty then
+            ( Obj_state.Keymap.add key
+                (Monitor.step compiled ~atom_eval:(ae key) (Some s))
+                insts',
+              Obj_state.Keyset.add key unsettled )
+          else
+            let s' = Monitor.step_quiescent compiled ~held:is_state_atom s in
+            if s' == s then (insts', Obj_state.Keyset.remove key unsettled)
+            else
+              ( Obj_state.Keymap.add key s' insts',
+                Obj_state.Keyset.add key unsettled )
+        in
+        match t.Obj_state.unsettled with
+        | Obj_state.All ->
+            let insts', unsettled =
+              Obj_state.Keymap.fold visit insts (insts, Obj_state.Keyset.empty)
+            in
+            {
+              t with
+              Obj_state.insts = insts';
+              unsettled = Obj_state.Keys unsettled;
+            }
+        | Obj_state.Keys u ->
+            let insts', u' =
+              Obj_state.Keyset.fold
+                (fun key acc ->
+                  (* visit with the table's own key value: a dirty key
+                     comes from the step's events, and storing it would
+                     keep them alive in place of the spawned key *)
+                  match
+                    Obj_state.Keymap.find_first_opt
+                      (fun k -> Obj_state.Key.compare k key >= 0)
+                      insts
+                  with
+                  | Some (k, s) when Obj_state.Key.compare k key = 0 ->
+                      visit k s acc
+                  | _ -> acc)
+                (Obj_state.Keyset.union u dirty)
+                (insts, u)
+            in
+            if insts' == insts && u' == u then t
+            else
+              { t with Obj_state.insts = insts'; unsettled = Obj_state.Keys u' })
 
-(** Spawn the instance of [key], started on the current state, unless
-    the table has it. *)
+(** Spawn the instance of [key], started on the current state and
+    unsettled, unless the table has it. *)
 let spawn_missing compiled ~ae (t : Obj_state.table) key =
   if Obj_state.Keymap.mem key t.Obj_state.insts then t
   else
     let s = Monitor.step compiled ~atom_eval:(ae key) None in
-    { t with Obj_state.insts = Obj_state.Keymap.add key s t.Obj_state.insts }
+    {
+      t with
+      Obj_state.insts = Obj_state.Keymap.add key s t.Obj_state.insts;
+      unsettled =
+        (match t.Obj_state.unsettled with
+        | Obj_state.All -> Obj_state.All
+        | Obj_state.Keys u -> Obj_state.Keys (Obj_state.Keyset.add key u));
+    }
+
+(** Add the key [[x]] of every element in exactly one of the canonical
+    sets [a] and [b]: one sorted merge, which stops where the two lists
+    share their tail (an ordered insertion or removal keeps the tail
+    after its position). *)
+let rec set_changes a b acc =
+  if a == b then acc
+  else
+    match (a, b) with
+    | [], rest | rest, [] ->
+        List.fold_left (fun acc x -> Obj_state.Keyset.add [ x ] acc) acc rest
+    | x :: a', y :: b' ->
+        let c = Value.compare x y in
+        if c = 0 then set_changes a' b' acc
+        else if c < 0 then set_changes a' b (Obj_state.Keyset.add [ x ] acc)
+        else set_changes a b' (Obj_state.Keyset.add [ y ] acc)
+
+(** The instances of a key-addressed monitor that a step may change:
+    the keys at the key positions of the occurred events its occurrence
+    atoms name, and the members that entered or left a written set slot
+    its [v in s] atoms read.  [All] when the step wrote a slot another
+    state atom reads, or a membership slot that does not hold a set
+    both before and after.  [written] pairs each slot the step assigned
+    with its value before the step. *)
+let dirty_keys (o : Obj_state.t) (kd : Dispatch.ckeyed)
+    ~(occurred : Event.t list) ~(written : (int * Value.t) list) :
+    Obj_state.keys =
+  let was_written s = List.mem_assoc s written in
+  if Array.exists was_written kd.Dispatch.ck_reads then Obj_state.All
+  else
+    let keys =
+      List.fold_left
+        (fun keys (ev : Event.t) ->
+          let n = List.length ev.Event.args in
+          Array.fold_left
+            (fun keys (name, positions) ->
+              if String.equal name ev.Event.name
+                 && List.for_all (fun i -> i < n) positions
+              then
+                Obj_state.Keyset.add
+                  (List.map (List.nth ev.Event.args) positions)
+                  keys
+              else keys)
+            keys kd.Dispatch.ck_occurs)
+        Obj_state.Keyset.empty occurred
+    in
+    Array.fold_left
+      (fun acc s ->
+        match (acc, List.assoc_opt s written) with
+        | Obj_state.All, _ | _, None -> acc
+        | Obj_state.Keys keys, Some before -> (
+            match (before, o.Obj_state.attrs.(s)) with
+            | Value.Set a, Value.Set b -> Obj_state.Keys (set_changes a b keys)
+            | _ -> Obj_state.All))
+      (Obj_state.Keys keys) kd.Dispatch.ck_members
 
 (** Advance all monitors of object [o] after a step in which the events
     [occurred] (targeting [o]) happened and the post-state is current.
-    [born] and [written] (attribute slots assigned this step) feed the
-    static-constraint skip and the quiescent monitor step: a formula
-    whose footprint is exclusively own stored slots, none of which
-    changed, reads as it did after the last committed step. *)
+    [born] and [written] (attribute slots assigned this step, each with
+    its value before the step) feed the static-constraint skip and the
+    quiescent and keyed monitor advances: a formula whose footprint is
+    exclusively own stored slots, none of which changed, reads as it did
+    after the last committed step. *)
 let step_monitors (c : Community.t) (o : Obj_state.t)
-    ~(occurred : Event.t list) ~(born : bool) ~(written : int list) =
+    ~(occurred : Event.t list) ~(born : bool)
+    ~(written : (int * Value.t) list) =
   let tpl = o.Obj_state.template in
   let ti =
     if Dispatch.enabled c then Some (Dispatch.template_index c tpl) else None
@@ -646,7 +756,7 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
       (not born)
       && (match cm.Dispatch.cm_reads with
          | Some slots ->
-             not (Array.exists (fun s -> List.mem s written) slots)
+             not (Array.exists (fun s -> List.mem_assoc s written) slots)
          | None -> false)
       && not
            (List.exists
@@ -665,7 +775,29 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
         | None -> false)
     | None -> false
   in
+  (* the instances of a table monitor this step may change *)
+  let perm_dirty idx : Obj_state.keys =
+    match ti with
+    | None -> Obj_state.All
+    | Some ti -> (
+        match ti.Dispatch.ti_perm_mons.(idx) with
+        | None -> Obj_state.All
+        | Some cm -> (
+            if quiescent cm then Obj_state.Keys Obj_state.Keyset.empty
+            else
+              match cm.Dispatch.cm_keyed with
+              | Some kd when not born -> dirty_keys o kd ~occurred ~written
+              | _ -> Obj_state.All))
+  in
   let set_perm idx (t : Obj_state.table) t' =
+    (* a dead object never steps again: its tables keep no record of
+       unsettled keys ([All] is always a sound record) *)
+    let t' =
+      match t'.Obj_state.unsettled with
+      | Obj_state.Keys _ when o.Obj_state.dead ->
+          { t' with Obj_state.unsettled = Obj_state.All }
+      | _ -> t'
+    in
     if t' != t then o.Obj_state.perm_states.(idx) <- Obj_state.PS_indexed t'
   in
   (* permissions *)
@@ -706,7 +838,7 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
                 | None -> spawn_keys c o ~occurred ~ix_vars ix_body)
             | None -> spawn_keys c o ~occurred ~ix_vars ix_body
           in
-          let t' = advance_table ix_compiled ~quiet:(perm_quiet idx) ~ae t in
+          let t' = advance_table ix_compiled ~dirty:(perm_dirty idx) ~ae t in
           set_perm idx t (List.fold_left (spawn_missing ix_compiled ~ae) t' keys)
       | ( Template.PG_quant { q_var; q_class; q_compiled; _ },
           Obj_state.PS_indexed t ) ->
@@ -714,7 +846,7 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
             let binds = match key with [ v ] -> [ (q_var, v) ] | _ -> [] in
             atom_eval c o ~occurred ~binds
           in
-          let t' = advance_table q_compiled ~quiet:(perm_quiet idx) ~ae t in
+          let t' = advance_table q_compiled ~dirty:(perm_dirty idx) ~ae t in
           (* the class extension changes only through births and deaths:
              while it is the very set the table was reconciled against,
              every member already has an instance *)
@@ -751,7 +883,7 @@ let step_monitors (c : Community.t) (o : Obj_state.t)
                 cs.Dispatch.cs_local && (not born)
                 && not
                      (Array.exists
-                        (fun s -> List.mem s written)
+                        (fun s -> List.mem_assoc s written)
                         cs.Dispatch.cs_slots)
               in
               if untouched then Dispatch.note_static_skip ()
@@ -834,6 +966,24 @@ let staged_vrules (c : Community.t) (o : Obj_state.t) record (ev : Event.t)
             let v = cv.Dispatch.cv_rhs c env (Some o) in
             record o cv.Dispatch.cv_attr cv.Dispatch.cv_slot v)
     ce.Dispatch.ce_vrules
+
+(** Phase 4's valuation writes, given newest first: apply them in order
+    and return each object's assigned slots with the values they held
+    just before (writes to undeclared attributes are applied but not
+    returned). *)
+let apply_writes (write_list : (Obj_state.t * string * int * Value.t) list) =
+  List.fold_left
+    (fun written ((o : Obj_state.t), attr, slot, v) ->
+      if slot >= 0 then begin
+        let before = Obj_state.attr_slot o slot in
+        Obj_state.set_attr_slot o slot v;
+        (o, (slot, before)) :: written
+      end
+      else begin
+        Obj_state.set_attr o attr v;
+        written
+      end)
+    [] (List.rev write_list)
 
 let exec_sync (c : Community.t) (txn : Txn.t) (sync : Event.t list) : unit =
   (* group events by target object *)
@@ -999,11 +1149,7 @@ let exec_sync (c : Community.t) (txn : Txn.t) (sync : Event.t list) : unit =
           | _ -> ())
         evs)
     participants;
-  List.iter
-    (fun ((o : Obj_state.t), attr, slot, v) ->
-      if slot >= 0 then Obj_state.set_attr_slot o slot v
-      else Obj_state.set_attr o attr v)
-    (List.rev !write_list);
+  let written = apply_writes !write_list in
   (* a death ends the object's life cycle — and, because all aspects of
      one object share it, the death of a base aspect also ends every
      living phase (view) aspect depending on it, transitively *)
@@ -1043,9 +1189,8 @@ let exec_sync (c : Community.t) (txn : Txn.t) (sync : Event.t list) : unit =
     (fun ((o : Obj_state.t), evs, born) ->
       let written =
         List.filter_map
-          (fun ((o' : Obj_state.t), _, slot, _) ->
-            if o' == o && slot >= 0 then Some slot else None)
-          !write_list
+          (fun ((o' : Obj_state.t), w) -> if o' == o then Some w else None)
+          written
       in
       step_monitors c o ~occurred:(List.map fst evs) ~born ~written)
     participants
@@ -1085,17 +1230,8 @@ let exec_sync_resolved (c : Community.t) (txn : Txn.t) (ev : Event.t)
        ev entry
    end);
   (* phase 4: apply *)
-  List.iter
-    (fun ((o : Obj_state.t), attr, slot, v) ->
-      if slot >= 0 then Obj_state.set_attr_slot o slot v
-      else Obj_state.set_attr o attr v)
-    (List.rev !write_list);
+  let written = List.map snd (apply_writes !write_list) in
   (* phase 5: post-state constraints and monitor advancement *)
-  let written =
-    List.filter_map
-      (fun (_, _, slot, _) -> if slot >= 0 then Some slot else None)
-      !write_list
-  in
   step_monitors c o ~occurred:[ ev ] ~born:false ~written
 
 (* ------------------------------------------------------------------ *)

@@ -9,26 +9,38 @@
 
 module Smap = Map.Make (String)
 
-module Keymap = Map.Make (struct
+module Key = struct
   type t = Value.t list
 
   let compare = List.compare Value.compare
-end)
+end
+
+module Keymap = Map.Make (Key)
+module Keyset = Set.Make (Key)
+
+type keys = All | Keys of Keyset.t
 
 (** Instance table of a parametric or class-quantified permission
     monitor (documented in the interface). *)
 type table = {
   insts : Monitor.state Keymap.t;
   covered : Ident.Set.t;  (** compared by physical identity *)
+  unsettled : keys;
 }
 
-let empty_table = { insts = Keymap.empty; covered = Ident.Set.empty }
+let empty_table =
+  {
+    insts = Keymap.empty;
+    covered = Ident.Set.empty;
+    unsettled = Keys Keyset.empty;
+  }
 
 let table_of_list insts =
   {
     empty_table with
     insts =
       List.fold_left (fun m (key, s) -> Keymap.add key s m) Keymap.empty insts;
+    unsettled = All;
   }
 
 (** Monitor state attached to one permission of the template. *)

@@ -10,14 +10,24 @@
 module Smap :
   Map.S with type key = string and type 'a t = 'a Map.Make(String).t
 
-module Keymap : Map.S with type key = Value.t list
+module Key : Map.OrderedType with type t = Value.t list
 (** Instance keys, ordered by [List.compare Value.compare]. *)
+
+module Keymap : Map.S with type key = Key.t
+
+module Keyset : Set.S with type elt = Key.t
+
+(** Some instance keys of a table, or all of them. *)
+type keys = All | Keys of Keyset.t
 
 (** Instance table of a parametric ([PG_indexed]) or class-quantified
     ([PG_quant]) permission monitor, keyed by the guard's parameter
     values (the member's surrogate, for a quantified guard).  Immutable,
     like the monitor states it holds: rollback, probes and {!View} thaws
-    restore or share the old pointer, coverage record included. *)
+    restore or share the old pointer, coverage and settlement records
+    included.  {!Persist} and {!Effect_log} write neither record; a
+    loaded or replayed table starts with no coverage and every key
+    unsettled. *)
 type table = {
   insts : Monitor.state Keymap.t;  (** one monitor state per instance key *)
   covered : Ident.Set.t;
@@ -27,14 +37,23 @@ type table = {
           reconciles the table only when the current extension is not
           this pointer, i.e. after a birth or death.  Starts (and
           restarts after a load or a WAL replay) as [Ident.Set.empty],
-          which covers only the empty extension.  {!Persist} and
-          {!Effect_log} neither write nor read it. *)
+          which covers only the empty extension. *)
+  unsettled : keys;
+      (** the instances whose state may not be a fixpoint of
+          {!Monitor.step_quiescent}.  Every other instance is one: a
+          step that changes none of its inputs would leave it exactly
+          as it is, so the engine does not visit it.  [All] after a
+          full advance, a load or a WAL replay, and once the object is
+          dead; a key the engine steps in full or spawns joins the set,
+          and leaves it once a quiescent step returns its state
+          unchanged. *)
 }
 
 val empty_table : table
 
 val table_of_list : (Value.t list * Monitor.state) list -> table
-(** A table of the given instances, with no coverage record. *)
+(** A table of the given instances, with no coverage record and every
+    key unsettled. *)
 
 (** Monitor state attached to one permission of the template. *)
 type pstate =

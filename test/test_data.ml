@@ -472,6 +472,89 @@ let prop_builtin_remove_not_member =
       let s' = ok_value (Builtin.apply "remove" [ x; s ]) in
       Value.equal (Value.Bool false) (ok_value (Builtin.apply "in" [ x; s' ])))
 
+(* The list-based set operations the linear ones replaced: each
+   operation on canonical sets must give the same value, itself
+   canonical (strictly increasing). *)
+let reference_set_op name a b =
+  let elem_args a b =
+    match (a, b) with
+    | e, Value.Set s -> Some (s, e)
+    | Value.Set s, e -> Some (s, e)
+    | _ -> None
+  in
+  match (name, a, b) with
+  | _ when Value.is_undefined a || Value.is_undefined b -> Some Value.Undefined
+  | "in", e, Value.List l -> Some (Value.Bool (List.exists (Value.equal e) l))
+  | "in", _, _ ->
+      Option.map
+        (fun (s, e) -> Value.Bool (List.exists (Value.equal e) s))
+        (elem_args a b)
+  | "insert", _, _ ->
+      Option.map (fun (s, e) -> Value.set (e :: s)) (elem_args a b)
+  | ("remove" | "delete"), _, _ ->
+      Option.map
+        (fun (s, e) ->
+          Value.Set (List.filter (fun x -> not (Value.equal x e)) s))
+        (elem_args a b)
+  | "union", Value.Set x, Value.Set y -> Some (Value.set (x @ y))
+  | "intersect", Value.Set x, Value.Set y ->
+      Some (Value.Set (List.filter (fun v -> List.exists (Value.equal v) y) x))
+  | "minus", Value.Set x, Value.Set y ->
+      Some
+        (Value.Set
+           (List.filter (fun v -> not (List.exists (Value.equal v) y)) x))
+  | _ -> None
+
+let rec canonical = function
+  | Value.Set s ->
+      let rec increasing = function
+        | x :: (y :: _ as rest) -> Value.compare x y < 0 && increasing rest
+        | _ -> true
+      in
+      increasing s && List.for_all canonical s
+  | _ -> true
+
+let prop_builtin_set_ops_reference =
+  let open QCheck.Gen in
+  (* a small mixed domain, so that members often coincide *)
+  let elem =
+    oneof
+      [ map (fun i -> Value.Int i) (int_range 0 5);
+        map
+          (fun s -> Value.String s)
+          (string_size ~gen:(char_range 'a' 'c') (int_range 0 1));
+        map (fun k -> Value.Id ("P", Value.Int k)) (int_range 0 5);
+        map (fun k -> Value.Id ("Q", Value.Int k)) (int_range 0 2);
+        map (fun b -> Value.Bool b) bool;
+        map Value.set
+          (list_size (int_range 0 2) (map (fun i -> Value.Int i) (int_range 0 2)));
+      ]
+  in
+  let operand =
+    frequency
+      [ (3, map Value.set (list_size (int_range 0 8) elem));
+        (2, elem);
+        (1, map (fun l -> Value.List l) (list_size (int_range 0 3) elem));
+        (1, return Value.Undefined) ]
+  in
+  let gen =
+    triple
+      (oneofl
+         [ "in"; "insert"; "remove"; "delete"; "union"; "intersect"; "minus" ])
+      operand operand
+  in
+  QCheck.Test.make ~name:"builtin: set operations match the list definitions"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (op, a, b) ->
+         Printf.sprintf "%s(%s, %s)" op (Value.to_string a) (Value.to_string b))
+       gen)
+    (fun (op, a, b) ->
+      match (Builtin.apply op [ a; b ], reference_set_op op a b) with
+      | Ok v, Some r -> Value.compare v r = 0 && v = r && canonical v
+      | Error _, None -> true
+      | _ -> false)
+
 let prop_builtin_typing_soundness =
   (* when the typing rule accepts and evaluation succeeds, the computed
      value inhabits the predicted type *)
@@ -569,6 +652,7 @@ let () =
         ] );
       qsuite "builtin-properties"
         [ prop_builtin_min_max; prop_builtin_insert_member;
-          prop_builtin_remove_not_member; prop_builtin_typing_soundness ];
+          prop_builtin_remove_not_member; prop_builtin_set_ops_reference;
+          prop_builtin_typing_soundness ];
       ("env", [ Alcotest.test_case "bindings" `Quick test_env ]);
     ]

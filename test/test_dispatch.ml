@@ -508,7 +508,14 @@ let test_restore_without_coverage () =
   List.iter
     (fun (what, sys) ->
       check Alcotest.bool (what ^ ": no coverage record") true
-        ((table sys sales "closure").Obj_state.covered == Ident.Set.empty))
+        ((table sys sales "closure").Obj_state.covered == Ident.Set.empty);
+      List.iter
+        (fun event ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: every %s key unsettled" what event)
+            true
+            ((table sys sales event).Obj_state.unsettled = Obj_state.All))
+        [ "closure"; "fire" ])
     [ ("loaded", loaded); ("recovered", recovered) ];
   diff_verdicts "restore, after" [ compiled; interp; loaded; recovered ]
     [
@@ -662,6 +669,317 @@ let test_static_through_surrogate_field () =
       (true, on sales "tick" ());
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Key-addressed advance: a step visits only the instances it changes  *)
+(* ------------------------------------------------------------------ *)
+
+let key name = [ Ident.to_value (person name) ]
+let keyset names = Obj_state.Keyset.of_list (List.map key names)
+
+let unsettled_is names (t : Obj_state.table) =
+  match t.Obj_state.unsettled with
+  | Obj_state.Keys u -> Obj_state.Keyset.equal u (keyset names)
+  | Obj_state.All -> false
+
+(** The keys whose instance state is not physically the one in
+    [before]. *)
+let restepped (before : Obj_state.table) (after : Obj_state.table) =
+  Obj_state.Keymap.fold
+    (fun key s acc ->
+      match Obj_state.Keymap.find_opt key before.Obj_state.insts with
+      | Some s0 when s0 == s -> acc
+      | _ -> key :: acc)
+    after.Obj_state.insts []
+  |> List.rev
+
+let names n = List.init n (Printf.sprintf "p%03d")
+
+(** With 200 members, a [hire] steps only the hired member's instance
+    of both DEPT monitors; every other instance keeps its very state,
+    and the hired one is the only unsettled key afterwards. *)
+let test_keyed_hire_among_many () =
+  let compiled, interp = load_pair Paper_specs.dept in
+  let systems = [ compiled; interp ] in
+  let people = names 200 in
+  diff_verdicts "keyed hire, set-up" systems
+    (List.map (fun p -> (true, born p)) people
+    @ [ (true, established) ]
+    @ List.concat_map
+        (fun p -> [ (true, on sales "hire" ~who:[ p ] ()) ])
+        [ "p000"; "p001"; "p002"; "p199" ]
+    @ [ (true, on sales "fire" ~who:[ "p001" ] ());
+        (* two steps that write no slot the monitors read: every
+           instance settles *)
+        (true, on sales "new_manager" ~who:[ "p000" ] ());
+        (true, on sales "new_manager" ~who:[ "p002" ] ()) ]);
+  let closure0 = table compiled sales "closure" in
+  let fire0 = table compiled sales "fire" in
+  List.iter
+    (fun (what, t) ->
+      check Alcotest.bool (what ^ ": settled") true (unsettled_is [] t))
+    [ ("closure", closure0); ("fire", fire0) ];
+  diff_verdicts "keyed hire, step" systems
+    [ (true, on sales "hire" ~who:[ "p150" ] ()) ];
+  check Alcotest.int "closure: one instance per member" 200
+    (Obj_state.Keymap.cardinal
+       (table compiled sales "closure").Obj_state.insts);
+  List.iter
+    (fun (what, before, after) ->
+      check Alcotest.bool (what ^ ": only p150 re-stepped") true
+        (restepped before after = [ key "p150" ]);
+      check Alcotest.bool (what ^ ": only p150 unsettled") true
+        (unsettled_is [ "p150" ] after))
+    [ ("closure", closure0, table compiled sales "closure");
+      ("fire", fire0, table compiled sales "fire") ];
+  diff_verdicts "keyed hire, after" systems
+    [ (false, probe sales "closure" ());
+      (true, on sales "fire" ~who:[ "p150" ] ());
+      (true, on sales "fire" ~who:[ "p000" ] ());
+      (true, on sales "fire" ~who:[ "p002" ] ());
+      (false, probe sales "closure" ());
+      (true, on sales "fire" ~who:[ "p199" ] ());
+      (true, probe sales "closure" ());
+      (true, on sales "closure" ()) ]
+
+(* [reset] empties the roster in one valuation: the members it removes
+   are the ones whose [P in employees] atom changes *)
+let reset_spec =
+  {|
+object class PERSON
+  identification pname: string;
+  template
+    events birth born;
+end object class PERSON;
+
+object class DEPT
+  identification id: string;
+  template
+    attributes employees: set(|PERSON|);
+    events
+      birth establishment(date);
+      death closure;
+      hire(|PERSON|);
+      reset;
+      tick;
+    valuation
+      variables P: |PERSON|; d: date;
+      [establishment(d)] employees = {};
+      [hire(P)] employees = insert(P, employees);
+      [reset] employees = {};
+    permissions
+      { for all (P: PERSON : sometime(P in employees) => previous(P in employees)) } closure;
+end object class DEPT;
+|}
+
+let test_keyed_multi_member_write () =
+  let compiled, interp = load_pair reset_spec in
+  let systems = [ compiled; interp ] in
+  diff_verdicts "reset, set-up" systems
+    (List.map (fun p -> (true, born p)) (names 10)
+    @ [ (true, established) ]
+    @ List.map
+        (fun p -> (true, on sales "hire" ~who:[ p ] ()))
+        [ "p001"; "p004"; "p007" ]
+    @ [ (true, on sales "tick" ()); (true, on sales "tick" ()) ]);
+  let before = table compiled sales "closure" in
+  check Alcotest.bool "settled before reset" true (unsettled_is [] before);
+  diff_verdicts "reset" systems [ (true, on sales "reset" ()) ];
+  let after = table compiled sales "closure" in
+  check Alcotest.bool "exactly the removed members re-stepped" true
+    (restepped before after = List.map key [ "p001"; "p004"; "p007" ]);
+  check Alcotest.bool "exactly the removed members unsettled" true
+    (unsettled_is [ "p001"; "p004"; "p007" ] after);
+  diff_verdicts "reset, after" systems
+    [ (true, probe sales "closure" ());
+      (true, on sales "tick" ());
+      (false, probe sales "closure" ());
+      (true, on sales "hire" ~who:[ "p004" ] ());
+      (true, on sales "hire" ~who:[ "p001" ] ());
+      (true, on sales "hire" ~who:[ "p007" ] ());
+      (false, probe sales "closure" ());
+      (true, on sales "tick" ());
+      (true, on sales "closure" ()) ]
+
+(* three quantified guards no step can address by key: a state atom
+   over the whole roster, another object's attribute, and an
+   occurrence atom that does not mention the member *)
+let unaddressable_spec =
+  {|
+object class PERSON
+  identification pname: string;
+  template
+    attributes Grade: integer;
+    events
+      birth born;
+      promote(integer);
+    valuation
+      variables g: integer;
+      [born] Grade = 1;
+      [promote(g)] Grade = g;
+end object class PERSON;
+
+object class DEPT
+  identification id: string;
+  template
+    attributes employees: set(|PERSON|);
+    events
+      birth establishment(date);
+      death closure;
+      hire(|PERSON|);
+      big;
+      graded;
+      audit;
+    valuation
+      variables P: |PERSON|; d: date;
+      [establishment(d)] employees = {};
+      [hire(P)] employees = insert(P, employees);
+    permissions
+      { for all (P: PERSON : sometime(card(employees) > 2 and P in employees)) } big;
+      { for all (P: PERSON : sometime(P.Grade > 1)) } graded;
+      { for all (P: PERSON : sometime(P in employees) => sometime(after(audit))) } closure;
+end object class DEPT;
+|}
+
+let test_keyed_fallback () =
+  let compiled, interp = load_pair unaddressable_spec in
+  let systems = [ compiled; interp ] in
+  let guarded = [ "big"; "graded"; "closure" ] in
+  let ti =
+    Dispatch.template_index compiled.Troll.community
+      (Community.template_exn compiled.Troll.community "DEPT")
+  in
+  let keyed event =
+    let o = Community.object_exn compiled.Troll.community sales in
+    let rec find idx = function
+      | [] -> Alcotest.failf "no permission on %s" event
+      | (pm : Template.permission) :: rest ->
+          if String.equal pm.Template.pm_event event then
+            match ti.Dispatch.ti_perm_mons.(idx) with
+            | Some cm -> cm.Dispatch.cm_keyed
+            | None -> None
+          else find (idx + 1) rest
+    in
+    find 0 o.Obj_state.template.Template.t_perms
+  in
+  diff_verdicts "fallback, set-up" systems
+    (List.map (fun p -> (true, born p)) (names 6)
+    @ [ (true, established);
+        (true, on sales "hire" ~who:[ "p000" ] ());
+        (true, on sales "hire" ~who:[ "p001" ] ()) ]);
+  (* the roster-wide atom reads [employees] beside the membership atom:
+     the body is keyed, but a step writing [employees] is not *)
+  check Alcotest.bool "big: keyed body" true (keyed "big" <> None);
+  check Alcotest.bool "graded: not keyed" true (keyed "graded" = None);
+  check Alcotest.bool "closure: not keyed" true (keyed "closure" = None);
+  let before = List.map (fun e -> (e, table compiled sales e)) guarded in
+  diff_verdicts "fallback, hire" systems
+    [ (true, on sales "hire" ~who:[ "p002" ] ()) ];
+  List.iter
+    (fun (e, t0) ->
+      let t = table compiled sales e in
+      check Alcotest.int (e ^ ": every instance re-stepped")
+        (Obj_state.Keymap.cardinal t.Obj_state.insts)
+        (List.length (restepped t0 t));
+      check Alcotest.bool (e ^ ": every key unsettled") true
+        (t.Obj_state.unsettled = Obj_state.All))
+    before;
+  diff_verdicts "fallback, after" systems
+    [ (false, probe sales "big" ());
+      (false, probe sales "graded" ());
+      (true, ok (fun s -> fire s (person "p003") "promote" [ Value.Int 2 ]));
+      (false, probe sales "closure" ());
+      (true, on sales "audit" ());
+      (true, probe sales "closure" ());
+      (true, on sales "hire" ~who:[ "p003" ] ());
+      (true, probe sales "closure" ());
+      (false, probe sales "graded" ()) ]
+
+(** A keyed step inside a probe moves the unsettled record with the
+    instances, and the rollback restores both: the table after the probe
+    is the very one before it. *)
+let test_keyed_probe_rollback () =
+  let compiled, interp = load_pair Paper_specs.dept in
+  let systems = [ compiled; interp ] in
+  diff_verdicts "keyed probe, set-up" systems
+    (List.map (fun p -> (true, born p)) (names 20)
+    @ [ (true, established);
+        (true, on sales "hire" ~who:[ "p003" ] ());
+        (true, on sales "new_manager" ~who:[ "p003" ] ()) ]);
+  let closure0 = table compiled sales "closure" in
+  let fire0 = table compiled sales "fire" in
+  diff_verdicts "keyed probe, probes" systems
+    [ (true, probe sales "hire" ~who:[ "p007" ] ());
+      (true, probe sales "fire" ~who:[ "p003" ] ());
+      (false, probe sales "fire" ~who:[ "p007" ] ()) ];
+  check Alcotest.bool "closure table restored" true
+    (table compiled sales "closure" == closure0);
+  check Alcotest.bool "fire table restored" true
+    (table compiled sales "fire" == fire0);
+  diff_verdicts "keyed probe, after" systems
+    [ (true, on sales "hire" ~who:[ "p007" ] ());
+      (true, on sales "fire" ~who:[ "p003" ] ());
+      (false, probe sales "closure" ());
+      (true, on sales "fire" ~who:[ "p007" ] ());
+      (true, probe sales "closure" ());
+      (true, on sales "closure" ()) ]
+
+(** Random hire/fire/probe traces on the paper's DEPT: the compiled
+    (keyed) and interpreted engines agree on every verdict and on the
+    persisted image after every action. *)
+let prop_keyed_traces =
+  let open QCheck.Gen in
+  let action =
+    frequency
+      [ (4, map (fun i -> `Hire i) (int_range 0 7));
+        (4, map (fun i -> `Fire i) (int_range 0 7));
+        (2, map (fun i -> `Probe_hire i) (int_range 0 7));
+        (2, map (fun i -> `Probe_fire i) (int_range 0 7));
+        (1, return `Probe_closure);
+        (1, map (fun i -> `Manager i) (int_range 0 7));
+        (1, map (fun i -> `Born i) (int_range 8 11));
+        (1, return `Closure) ]
+  in
+  let print = function
+    | `Hire i -> Printf.sprintf "hire p%03d" i
+    | `Fire i -> Printf.sprintf "fire p%03d" i
+    | `Probe_hire i -> Printf.sprintf "probe hire p%03d" i
+    | `Probe_fire i -> Printf.sprintf "probe fire p%03d" i
+    | `Probe_closure -> "probe closure"
+    | `Manager i -> Printf.sprintf "new_manager p%03d" i
+    | `Born i -> Printf.sprintf "born p%03d" i
+    | `Closure -> "closure"
+  in
+  QCheck.Test.make ~name:"keyed advance: random dept traces" ~count:60
+    (QCheck.make ~print:(QCheck.Print.list print)
+       (list_size (int_range 1 40) action))
+    (fun actions ->
+      let compiled, interp = load_pair Paper_specs.dept in
+      let p i = Printf.sprintf "p%03d" i in
+      let run sys = function
+        | `Hire i -> on sales "hire" ~who:[ p i ] () sys
+        | `Fire i -> on sales "fire" ~who:[ p i ] () sys
+        | `Probe_hire i -> probe sales "hire" ~who:[ p i ] () sys
+        | `Probe_fire i -> probe sales "fire" ~who:[ p i ] () sys
+        | `Probe_closure -> probe sales "closure" () sys
+        | `Manager i -> on sales "new_manager" ~who:[ p i ] () sys
+        | `Born i -> born (p i) sys
+        | `Closure -> on sales "closure" () sys
+      in
+      List.iter
+        (fun sys ->
+          List.iter (fun i -> assert (born (p i) sys)) (List.init 8 Fun.id);
+          assert (established sys))
+        [ compiled; interp ];
+      List.for_all
+        (fun a ->
+          let vc = run compiled a in
+          let vi = run interp a in
+          vc = vi
+          && String.equal
+               (Persist.save compiled.Troll.community)
+               (Persist.save interp.Troll.community))
+        actions)
+
 let () =
   Alcotest.run "dispatch-differential"
     [
@@ -701,5 +1019,14 @@ let () =
             test_quiescent_state_atoms;
           Alcotest.test_case "quiescent: non-local state atom" `Quick
             test_quiescent_nonlocal_atom;
+          Alcotest.test_case "keyed: hire among 200 members" `Quick
+            test_keyed_hire_among_many;
+          Alcotest.test_case "keyed: one write, several members" `Quick
+            test_keyed_multi_member_write;
+          Alcotest.test_case "keyed: unaddressable atoms" `Quick
+            test_keyed_fallback;
+          Alcotest.test_case "keyed: probe rolls back" `Quick
+            test_keyed_probe_rollback;
+          QCheck_alcotest.to_alcotest prop_keyed_traces;
         ] );
     ]
